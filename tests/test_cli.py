@@ -79,6 +79,26 @@ def test_check_parabolic_fail_exit_code(capsys, tmp_path):
     assert json.loads(out)["passed"] is False
 
 
+@pytest.mark.parametrize(
+    "value, expected_code", [(math.inf, 2), (math.nan, 2), (1e300, 0)]
+)
+def test_check_parabolic_extreme_coefficient(capsys, tmp_path, value, expected_code):
+    # non-finite coefficients are refused; a huge finite one gets a verdict
+    spec = dict(HEAT_JSON)
+    spec["A"] = [{"alpha": [2, 0], "beta": 0, "re": value}] + HEAT_JSON["A"][1:]
+    spec.pop("B")
+    path = tmp_path / "extreme.json"
+    path.write_text(json.dumps(spec))
+    code, out = run_cli(capsys, ["check-parabolic", str(path), "--samples", "500"])
+    assert code == expected_code
+    if expected_code == 2:
+        assert out == ""
+    else:
+        report = json.loads(out)
+        assert report["passed"] is True
+        assert math.isfinite(report["petrovskii"]["min_abs_symbol"])
+
+
 def test_malformed_json_exit_2(capsys, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")

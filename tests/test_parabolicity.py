@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -25,6 +26,35 @@ def test_symbol_eval_heat():
     assert pb.symbol_eval(A, [0, 0], 1.0) == 1.0
     assert pb.symbol_eval(A, [1, 0], 0.0) == 1.0
     assert pb.symbol_eval(A, [1, 1], 1j) == 2.0 + 1.0j
+
+
+def test_evaluator_matches_loop_reference_and_finite_differences():
+    rng = np.random.default_rng(7)
+    coeffs = {
+        (alpha, 2 - sum(alpha) // 2): complex(*rng.standard_normal(2))
+        for alpha in itertools.product(range(5), repeat=3)
+        if sum(alpha) % 2 == 0 and sum(alpha) <= 4
+    }
+    A = pb.PrincipalSymbol(n=3, b=1, m=2, coeffs=coeffs)
+    table = pb._coeff_table(A)
+    pts = rng.standard_normal((20, 5))
+    xi, p = pts[:, :3], pts[:, 3] + 1j * pts[:, 4]
+    value, grad = pb._evaluate(table, xi, p, grad=True)
+    h = 1e-6
+    for k in range(len(pts)):
+        # plain-loop reference
+        ref = sum(c * np.prod(xi[k] ** np.array(a)) * p[k] ** b for (a, b), c in coeffs.items())
+        assert value[k] == pytest.approx(ref, rel=1e-13)
+        assert pb.symbol_eval(A, xi[k], p[k]) == pytest.approx(value[k], rel=1e-13)
+        for j in range(5):
+            step = np.zeros(5)
+            step[j] = h
+            hi, lo = pts[k] + step, pts[k] - step
+            fd = (
+                pb.symbol_eval(A, hi[:3], complex(hi[3], hi[4]))
+                - pb.symbol_eval(A, lo[:3], complex(lo[3], lo[4]))
+            ) / (2 * h)
+            assert grad[k, j] == pytest.approx(fd, rel=1e-6, abs=1e-6)
 
 
 def test_symbol_key_validation():
@@ -63,6 +93,106 @@ def test_petrovskii_squared_heat():
     v = pb.petrovskii_check(squared_heat_symbol(), 10000)
     assert v.passed
     assert v.min_abs == pytest.approx(0.75, rel=1e-6)  # (sqrt(3)/2)**2
+
+
+@pytest.mark.parametrize(
+    "A, expected",
+    [
+        (heat_symbol(2), math.sqrt(3) / 2),
+        (heat_symbol(3), math.sqrt(3) / 2),
+        (squared_heat_symbol(2), 0.75),
+    ],
+    ids=["heat2", "heat3", "squared_heat"],
+)
+def test_petrovskii_closed_form_minimum(A, expected):
+    v = pb.petrovskii_check(A, 10000)
+    assert v.passed
+    assert v.min_abs == pytest.approx(expected, rel=1e-12)
+
+
+def test_petrovskii_backward_heat_zero_located():
+    v = pb.petrovskii_check(backward_heat_symbol(), 10000)
+    assert not v.passed
+    assert v.min_abs < 1e-12
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, complex(0, math.inf)])
+def test_non_finite_coefficient_refused(value):
+    with pytest.raises(StructuralSymbolError):
+        pb.PrincipalSymbol(n=2, b=1, m=1, coeffs={((2, 0), 0): value, ((0, 0), 1): 1.0})
+    with pytest.raises(StructuralSymbolError):
+        pb.BoundarySymbol(n=2, b=1, m_j=0, coeffs={((0, 0), 0): value})
+
+
+def test_petrovskii_huge_coefficients_give_verdict():
+    # |A|**2 would overflow at these magnitudes; the check still decides
+    for big in (1e300, 1e308):
+        A = pb.PrincipalSymbol(
+            n=2, b=1, m=1, coeffs={((2, 0), 0): big, ((0, 2), 0): 1.0, ((0, 0), 1): 1.0}
+        )
+        v = pb.petrovskii_check(A, 500)
+        assert v.passed
+        assert math.isfinite(v.min_abs) and v.min_abs > 0
+    v = pb.petrovskii_check(
+        pb.PrincipalSymbol(
+            n=2, b=1, m=1, coeffs={((2, 0), 0): 1e300, ((0, 2), 0): 1e300, ((0, 0), 1): 1e300}
+        ),
+        10000,
+    )
+    assert v.min_abs == pytest.approx(1e300 * math.sqrt(3) / 2, rel=1e-12)
+
+
+def _perturbed_symbol(base, rng, eps):
+    """base plus eps * complex normal noise on every index below the top time order."""
+    n, m = base.n, base.m
+    coeffs = dict(base.coeffs)
+    for alpha in itertools.product(range(2 * m + 1), repeat=n):
+        if sum(alpha) % 2 == 0 and sum(alpha) > 0 and sum(alpha) <= 2 * m:
+            key = (alpha, m - sum(alpha) // 2)
+            coeffs[key] = coeffs.get(key, 0.0) + eps * complex(*rng.standard_normal(2))
+    return pb.PrincipalSymbol(n=n, b=1, m=m, coeffs=coeffs)
+
+
+def _root_margin(A, omegas):
+    """Largest Re p over roots of p -> A(omega, p), by batched companion eigvals."""
+    kappa = A.kappa
+    a = np.zeros((len(omegas), kappa + 1), dtype=complex)
+    for (alpha, beta), c in A.coeffs.items():
+        a[:, beta] += c * np.prod(omegas ** np.array(alpha), axis=1)
+    comp = np.zeros((len(omegas), kappa, kappa), dtype=complex)
+    comp[:, 1:, :-1] = np.eye(kappa - 1)
+    comp[:, :, -1] = -a[:, :kappa] / a[:, kappa:]
+    return float(np.max(np.linalg.eigvals(comp).real))
+
+
+def test_petrovskii_agrees_with_root_margin_oracle():
+    # Quasi-homogeneity reduces A != 0 on the hemisphere to: every root p of
+    # A(omega, .) has Re p < 0 for omega on the unit sphere (xi = 0 is the
+    # structure check).  The verdict must match that margin's sign.
+    rng = np.random.default_rng(20151116)
+    verdicts = set()
+    for base in (heat_symbol, squared_heat_symbol):
+        for n in (1, 2, 3):
+            if n == 1:
+                omegas = np.array([[1.0], [-1.0]])
+            else:
+                g = rng.standard_normal((2000, n))
+                omegas = g / np.linalg.norm(g, axis=1, keepdims=True)
+            for _ in range(6):
+                A = _perturbed_symbol(base(n), rng, 0.6)
+                margin = _root_margin(A, omegas)
+                v = pb.petrovskii_check(A, 2000)
+                if abs(margin) > 1e-3:
+                    assert v.passed == (margin < 0), (base.__name__, n, margin, v.min_abs)
+                    verdicts.add(v.passed)
+                assert float(np.sum(v.witness_xi**2)) + abs(v.witness_p) ** 2 == pytest.approx(
+                    1.0, abs=1e-12
+                )
+                assert v.witness_p.real >= 0.0
+                at_witness = abs(pb.symbol_eval(A, v.witness_xi, v.witness_p))
+                rounding = 1e-15 * sum(abs(c) for c in A.coeffs.values())
+                assert abs(at_witness - v.min_abs) <= rounding
+    assert verdicts == {True, False}
 
 
 def test_zeta_polynomial_heat_frames():
