@@ -282,11 +282,13 @@ def _cmd_verify_lemma71(cfg: RunConfig) -> tuple[dict, int]:
     s0, s, s1 = cfg.opt("s0"), cfg.opt("s"), cfg.opt("s1")
     gamma = cfg.opt("gamma")
     tol = cfg.opt("tol", 1e-10)
-    worst = 0.0
+    deviations = []
     for trial in range(cfg.opt("trials", 8)):
         g = spectra.random_grid(lat, cfg.opt("seed", 0) + trial)
         ratio = interpolation.verify_lemma71(g, s0, s, s1, gamma, phi)
-        worst = max(worst, abs(ratio - 1.0))
+        deviations.append(abs(ratio - 1.0))
+    # np.max propagates a nan deviation, where max(0.0, nan) would drop it
+    worst = float(np.max(deviations, initial=0.0))
     p = interpolation.build_psi(s0, s, s1, phi)
     ladder = np.geomspace(1e3, 1e12, 10)
     rv = interpolation.regular_variation_index(p, ladder)

@@ -12,6 +12,7 @@ diverges.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -114,8 +115,23 @@ def radial_integrand(s: float, delta: float, phi: PhiFunction, r):
     return (r**2 - 1.0) ** (s - 1.0 - delta) * r ** (1.0 - 2.0 * s) / eval_phi(phi, r) ** 2
 
 
-def _gauss(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+@functools.lru_cache(maxsize=None)
+def _legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-point Gauss-Legendre rule on [-1, 1], built once per n."""
     x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
+def _gauss(a, b, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-point Gauss-Legendre rule mapped affinely to [a, b].
+
+    The rule on [-1, 1] comes from ``_legendre_rule``, so it is built once
+    per node count.  Array endpoints of shape (m, 1) give m rules at once,
+    one per row, with the same arithmetic as scalar endpoints.
+    """
+    x, w = _legendre_rule(n)
     return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
 
 
@@ -152,7 +168,10 @@ def _lhs_truncated(
 
     Iterated Gauss quadrature: angular moment in xi times a 2-D integral in
     the spatial radius and the substituted time frequency eta = v**(2b),
-    which turns |eta|**(1/b) into the smooth v**2.
+    which turns |eta|**(1/b) into the smooth v**2.  One Gauss-Legendre rule
+    is mapped to every inner interval [0, rho_top(v)] at once, so the inner
+    integrals take one array pass (one ``eval_phi`` call and a row-wise
+    sum); the outer sum over v stays a sequential float sum in node order.
     """
     n = len(alpha)
     b = 1.0 / (2.0 * gamma)
@@ -165,19 +184,21 @@ def _lhs_truncated(
     ang = _angular_moment(alpha)
     v_top = (R**2 - 1.0) ** 0.5
     v_nodes, v_w = _gauss(0.0, v_top, n_nodes)
+    # square each node as a scalar: numpy's scalar ** calls libm pow, which
+    # can differ in the last bit from an array square, and rho_top must equal
+    # a one-row-at-a-time evaluation bit for bit
+    v2 = np.array([v**2 for v in v_nodes])
+    rho_top = np.sqrt(np.maximum(R**2 - 1.0 - v2, 0.0))
+    rho, wr = _gauss(0.0, rho_top[:, None], n_nodes)
+    rr = np.sqrt(1.0 + rho**2 + v2[:, None])
+    dens = rho ** (2 * sum(alpha) + n - 1) / (rr ** (2.0 * s) * eval_phi(phi, rr) ** 2)
+    inner = np.sum(dens * wr, axis=1)
     total = 0.0
-    for v, wv in zip(v_nodes, v_w):
-        rho_top = math.sqrt(max(R**2 - 1.0 - v**2, 0.0))
-        if rho_top <= 0.0:
+    for v, wv, top, row in zip(v_nodes, v_w, rho_top, inner):
+        if top <= 0.0:
             continue
-        rho, wr = _gauss(0.0, rho_top, n_nodes)
-        rr = np.sqrt(1.0 + rho**2 + v**2)
-        dens = rho ** (2 * sum(alpha) + n - 1) / (
-            rr ** (2.0 * s) * eval_phi(phi, rr) ** 2
-        )
-        inner = float(np.sum(dens * wr))
         # d eta = 2b v**(2b-1) dv and |eta|**(2 beta) = v**(4 b beta)
-        total += wv * inner * 2.0 * b * v ** (4.0 * b * beta + 2.0 * b - 1.0)
+        total += wv * float(row) * 2.0 * b * v ** (4.0 * b * beta + 2.0 * b - 1.0)
     return 2.0 * ang * total
 
 

@@ -195,8 +195,6 @@ def _time_derivative(samples: np.ndarray, lat: Lattice, mode: str) -> np.ndarray
         eta = lat.eta_axis()
         coeffs = np.fft.fft(samples, axis=-1, norm="ortho")
         return np.fft.ifft(coeffs * (1j * eta), axis=-1, norm="ortho")
-    if mode == "fd2":
-        return (np.roll(samples, -1, axis=-1) - np.roll(samples, 1, axis=-1)) / (2 * h)
     if mode == "fd4":
         return (
             -np.roll(samples, -2, axis=-1)
@@ -217,8 +215,8 @@ def apply_operator(
     """Apply the operator: spatial spectral multiplier plus a_t d/dt.
 
     time_derivative selects how d/dt is discretized: "spectral" (exact for
-    smooth time-periodic u), "fd2"/"fd4" (local stencils, usable on
-    solutions whose free tail wraps around the window), or "duhamel"
+    smooth time-periodic u), "fd4" (a local stencil, usable on solutions
+    whose free tail wraps around the window), or "duhamel"
     (exact differentiation of the stored Duhamel representation; requires
     the forcing f and reproduces it identically at the nodes).
     """

@@ -177,7 +177,6 @@ class PlusNormSolver:
             import scipy.linalg as sla
 
             self.G_factor = sla.cho_factor(G)
-            self._cho = True
         except Exception as exc:
             raise ConditioningError("normal equations not positive definite", cond) from exc
 

@@ -84,8 +84,8 @@ class Lattice:
             raise ValueError("spatial dimension k must be >= 1")
         if not _is_pow2(self.n_x) or not _is_pow2(self.n_t):
             raise ValueError("n_x and n_t must be powers of two")
-        if self.L_x <= 0 or self.L_t <= 0:
-            raise ValueError("periods must be positive")
+        if not (0.0 < self.L_x < math.inf and 0.0 < self.L_t < math.inf):
+            raise ValueError("periods must be finite and positive")
 
     @property
     def shape(self) -> tuple[int, ...]:

@@ -150,6 +150,36 @@ def test_verify_lemma71_command(capsys):
     assert abs(report["direct_sum_lhs"] - report["direct_sum_rhs"]) <= 1e-9
 
 
+@pytest.mark.parametrize("flag,value", [("--L-t", "inf"), ("--L-x", "nan")])
+def test_verify_lemma71_refuses_non_finite_period(capsys, flag, value):
+    # once a vacuous pass (inf) and a zero deviation (nan); now a refusal
+    code, out = run_cli(
+        capsys,
+        ["verify-lemma71", "--s0", "0", "--s", "1", "--s1", "2",
+         "--lattice", "8x8x8", "--trials", "2", flag, value],
+    )
+    assert code == 2
+    assert out == ""
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_verify_lemma71_non_finite_ratio_fails(capsys, monkeypatch, bad):
+    from hormspace import interpolation
+
+    ratios = iter([1.0, bad, 1.0])
+    monkeypatch.setattr(interpolation, "verify_lemma71", lambda *args: next(ratios))
+    code, out = run_cli(
+        capsys,
+        ["verify-lemma71", "--s0", "0", "--s", "1", "--s1", "2",
+         "--lattice", "8x8x8", "--trials", "3"],
+    )
+    report = json.loads(out)
+    assert code == 1
+    assert report["passed"] is False
+    # the report writes non-finite floats as the strings "nan" and "inf"
+    assert not math.isfinite(float(report["max_ratio_deviation"]))
+
+
 def test_model_verify_command(capsys, heat_file):
     code, out = run_cli(
         capsys,

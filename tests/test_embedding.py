@@ -154,6 +154,71 @@ def test_radial_reduction_beta_case():
     assert res.relerr <= 1e-3
 
 
+def _lhs_truncated_per_row(s, gamma, phi, alpha, beta, R, n_nodes=96):
+    """Oracle for _lhs_truncated: one inner Gauss rule per outer node, row by row.
+
+    The rule on [-1, 1] is built once here too; leggauss is deterministic,
+    so these are the arrays a per-row call would return.
+    """
+    x, w = np.polynomial.legendre.leggauss(n_nodes)
+
+    def gauss(a, b):
+        return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
+
+    n = len(alpha)
+    b = float(round(1.0 / (2.0 * gamma)))
+    if R <= 1.0:
+        return 0.0
+    ang = em._angular_moment(alpha)
+    v_top = (R**2 - 1.0) ** 0.5
+    v_nodes, v_w = gauss(0.0, v_top)
+    total = 0.0
+    for v, wv in zip(v_nodes, v_w):
+        rho_top = math.sqrt(max(R**2 - 1.0 - v**2, 0.0))
+        if rho_top <= 0.0:
+            continue
+        rho, wr = gauss(0.0, rho_top)
+        rr = np.sqrt(1.0 + rho**2 + v**2)
+        dens = rho ** (2 * sum(alpha) + n - 1) / (rr ** (2.0 * s) * cm.eval_phi(phi, rr) ** 2)
+        inner = float(np.sum(dens * wr))
+        total += wv * inner * 2.0 * b * v ** (4.0 * b * beta + 2.0 * b - 1.0)
+    return 2.0 * ang * total
+
+
+@pytest.mark.parametrize("delta", [0.0, 0.5])
+@pytest.mark.parametrize("R", [1.5, 10.0, 30.0, 100.0])
+@pytest.mark.parametrize("beta", [0, 1])
+@pytest.mark.parametrize("n,alpha", [(2, (0, 0)), (2, (1, 0)), (3, (0, 0, 0)), (3, (0, 1, 0))])
+@pytest.mark.parametrize(
+    "phi",
+    [cm.constant_one(), cm.log_power([0.8]), cm.log_power([0.5, 0.3])],
+    ids=["one", "log0.8", "log0.5_0.3"],
+)
+def test_lhs_truncated_array_pass_matches_per_row_loop(phi, n, alpha, beta, R, delta):
+    # b = 1; delta = 0.5 reaches rows where an array square of v would differ
+    # in the last bit from the scalar v**2 (libm pow) of the per-row loop
+    s = sum(alpha) + 2 * beta + 1 + n / 2.0 + delta
+    got = em._lhs_truncated(s, 0.5, phi, alpha, beta, R)
+    assert got == _lhs_truncated_per_row(s, 0.5, phi, alpha, beta, R)
+
+
+def test_one_legendre_rule_per_node_count(monkeypatch):
+    built = []
+    leggauss = np.polynomial.legendre.leggauss
+
+    def counting(n):
+        built.append(n)
+        return leggauss(n)
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
+    em._legendre_rule.cache_clear()
+    em._CALIBRATION_CACHE.clear()
+    phi = cm.log_power([0.8])
+    for R in (10.0, 30.0, 100.0):  # the radii of embed-check --radial
+        em.radial_reduction_check(2.0, 0.5, phi, (0, 0), 0, R)
+    assert sorted(built) == [64, 96]
+
+
 def test_radial_integrand_exponents_fit():
     # near r = 1 the integrand behaves like (r**2-1)**(s-1-delta): the fitted
     # slope separates delta = p from delta = 0

@@ -43,6 +43,14 @@ def test_json_round_trip(small_lattice):
     assert g2.lattice == g.lattice
 
 
+def test_reject_non_finite_header_period(tmp_path):
+    # a NaN period in the HGRD header is refused when the lattice is built
+    path = tmp_path / "nan.hgrd"
+    path.write_bytes(gridio._HEADER.pack(b"HGRD", 1, 8, 8, float("nan"), 1.0) + bytes(8 * 64))
+    with pytest.raises(ValueError, match="finite"):
+        gridio.load_grid(path)
+
+
 def test_reject_garbage(tmp_path):
     path = tmp_path / "bad.hgrd"
     path.write_bytes(b"NOPE" + b"\x00" * 64)

@@ -33,6 +33,14 @@ def test_lattice_validation():
         sp.Lattice(k=1, n_x=8, n_t=8, L_x=0.0, L_t=1.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_lattice_refuses_non_finite_periods(bad):
+    with pytest.raises(ValueError, match="finite"):
+        sp.Lattice(k=1, n_x=8, n_t=8, L_x=bad, L_t=1.0)
+    with pytest.raises(ValueError, match="finite"):
+        sp.Lattice(k=1, n_x=8, n_t=8, L_x=1.0, L_t=bad)
+
+
 def test_lattice_frequencies_and_time_axis(small_lattice):
     xi = small_lattice.xi_axis()
     m = np.rint(xi * small_lattice.L_x / (2 * math.pi)).astype(int)
