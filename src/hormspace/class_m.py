@@ -105,29 +105,43 @@ def log_power(exponents, cutoff: float = 0.0) -> PhiFunction:
     return PhiFunction(kind="log_power", exponents=tuple(exponents), cutoff=cutoff)
 
 
-def _log_power_formula(exponents, r):
-    """Product of (log^(i) r)**q_i; caller guarantees positivity."""
-    acc = np.ones_like(r, dtype=float)
-    cur = np.asarray(r, dtype=float)
-    for q in exponents:
-        cur = np.log(cur)
+def _log_power_formula(exponents, x, of_log: bool):
+    """Product of (log^(i) r)**q_i at r = x, or at r = e**x when of_log (x is
+    then the first log); caller guarantees positivity."""
+    acc = np.ones_like(x, dtype=float)
+    # the first log is taken here, not by the caller, so it is freed as the
+    # loop moves on (a caller-held copy costs one more array at the peak)
+    cur = x if of_log else np.log(x)
+    for i, q in enumerate(exponents):
+        if i:
+            cur = np.log(cur)
         if q != 0.0:
             acc = acc * cur**q
     return acc
 
 
-def eval_phi(phi: PhiFunction, r):
-    """Evaluate phi at r >= 1 (scalar or array)."""
-    arr = np.asarray(r, dtype=float)
-    if np.any(arr < 1.0):
-        raise ValueError("phi is defined on [1, inf) only")
+def _eval_phi(phi: PhiFunction, x, of_log: bool):
+    """phi at r = x (of_log False) or at r = e**x (of_log True).
+
+    Below the cutoff phi is its value at the cutoff; scalars in give a
+    float out.
+    """
+    arr = np.asarray(x, dtype=float)
     if phi.kind == "constant_one":
         out = np.ones_like(arr)
-        return float(out) if np.isscalar(r) or arr.ndim == 0 else out
-    base = float(_log_power_formula(phi.exponents, np.asarray(phi.cutoff)))
-    safe = np.maximum(arr, phi.cutoff)
-    out = np.where(arr >= phi.cutoff, _log_power_formula(phi.exponents, safe), base)
-    return float(out) if np.isscalar(r) or arr.ndim == 0 else out
+    else:
+        base = float(_log_power_formula(phi.exponents, np.asarray(phi.cutoff), False))
+        cut = math.log(phi.cutoff) if of_log else phi.cutoff
+        safe = np.maximum(arr, cut)
+        out = np.where(arr >= cut, _log_power_formula(phi.exponents, safe, of_log), base)
+    return float(out) if np.isscalar(x) or arr.ndim == 0 else out
+
+
+def eval_phi(phi: PhiFunction, r):
+    """Evaluate phi at r >= 1 (scalar or array)."""
+    if np.any(np.asarray(r, dtype=float) < 1.0):
+        raise ValueError("phi is defined on [1, inf) only")
+    return _eval_phi(phi, r, of_log=False)
 
 
 def eval_phi_of_exp(phi: PhiFunction, u):
@@ -135,27 +149,9 @@ def eval_phi_of_exp(phi: PhiFunction, u):
 
     Useful when e**u overflows; the first log of the argument is u itself.
     """
-    arr = np.asarray(u, dtype=float)
-    if np.any(arr < 0.0):
+    if np.any(np.asarray(u, dtype=float) < 0.0):
         raise ValueError("requires u >= 0 so that e**u >= 1")
-    if phi.kind == "constant_one":
-        out = np.ones_like(arr)
-        return float(out) if np.isscalar(u) or arr.ndim == 0 else out
-    log_cut = math.log(phi.cutoff)
-    base = float(_log_power_formula(phi.exponents, np.asarray(phi.cutoff)))
-
-    def formula(uu):
-        acc = uu ** phi.exponents[0] if phi.exponents[0] != 0.0 else np.ones_like(uu)
-        cur = uu
-        for q in phi.exponents[1:]:
-            cur = np.log(cur)
-            if q != 0.0:
-                acc = acc * cur**q
-        return acc
-
-    safe = np.maximum(arr, log_cut)
-    out = np.where(arr >= log_cut, formula(safe), base)
-    return float(out) if np.isscalar(u) or arr.ndim == 0 else out
+    return _eval_phi(phi, u, of_log=True)
 
 
 def slow_variation_defect(phi: PhiFunction, lam: float, r_values) -> np.ndarray:

@@ -20,99 +20,7 @@ from . import class_m, embedding, gridio, interpolation, model_problem, paraboli
 from . import plus_spaces, spectra
 from .errors import HormspaceError
 
-__all__ = ["RunConfig", "run", "main", "COMMAND_TABLE", "OPERATIONS"]
-
-
-# Every public operation, and the commands that exercise it (directly or as
-# part of the command's pipeline).  test_cli checks this table stays total.
-OPERATIONS = (
-    "class_m.eval_phi",
-    "class_m.slow_variation_defect",
-    "class_m.epsilon_bound_constant",
-    "spectra.r_gamma",
-    "spectra.hormander_weight",
-    "spectra.dft",
-    "spectra.idft",
-    "spectra.hnorm",
-    "spectra.embedding_constants",
-    "plus_spaces.plus_norm",
-    "plus_spaces.trace_defect",
-    "plus_spaces.lemma51_equivalence_ratio",
-    "interpolation.build_psi",
-    "interpolation.regular_variation_index",
-    "interpolation.generating_operator",
-    "interpolation.interp_norm",
-    "interpolation.verify_lemma71",
-    "interpolation.interp_subspace_norm",
-    "interpolation.direct_sum_interp_check",
-    "parabolicity.symbol_eval",
-    "parabolicity.petrovskii_check",
-    "parabolicity.zeta_polynomial",
-    "parabolicity.root_split",
-    "parabolicity.plus_polynomial",
-    "parabolicity.covering_check",
-    "parabolicity.sigma0",
-    "model_problem.solve_periodic",
-    "model_problem.apply_operator",
-    "model_problem.two_sided_ratio",
-    "model_problem.regularity_inheritance_check",
-    "embedding.criterion_verdict",
-    "embedding.criterion_partial",
-    "embedding.derivative_weight_sum",
-    "embedding.radial_reduction_check",
-    "embedding.sharpness_demo",
-)
-
-COMMAND_TABLE = {
-    "sigma0": ("parabolicity.sigma0",),
-    "check-parabolic": (
-        "parabolicity.symbol_eval",
-        "parabolicity.petrovskii_check",
-        "parabolicity.zeta_polynomial",
-        "parabolicity.root_split",
-        "parabolicity.plus_polynomial",
-        "parabolicity.covering_check",
-        "parabolicity.sigma0",
-    ),
-    "norm": (
-        "class_m.eval_phi",
-        "spectra.r_gamma",
-        "spectra.hormander_weight",
-        "spectra.dft",
-        "spectra.idft",
-        "spectra.hnorm",
-        "spectra.embedding_constants",
-    ),
-    "verify-lemma71": (
-        "interpolation.build_psi",
-        "interpolation.generating_operator",
-        "interpolation.interp_norm",
-        "interpolation.verify_lemma71",
-        "interpolation.regular_variation_index",
-        "interpolation.direct_sum_interp_check",
-    ),
-    "plus-norm": (
-        "plus_spaces.plus_norm",
-        "plus_spaces.trace_defect",
-        "plus_spaces.lemma51_equivalence_ratio",
-        "interpolation.interp_subspace_norm",
-    ),
-    "model-verify": (
-        "model_problem.solve_periodic",
-        "model_problem.apply_operator",
-        "model_problem.two_sided_ratio",
-        "model_problem.regularity_inheritance_check",
-    ),
-    "embed-check": (
-        "embedding.criterion_verdict",
-        "embedding.criterion_partial",
-        "embedding.derivative_weight_sum",
-        "embedding.radial_reduction_check",
-        "embedding.sharpness_demo",
-        "class_m.slow_variation_defect",
-        "class_m.epsilon_bound_constant",
-    ),
-}
+__all__ = ["RunConfig", "run", "main"]
 
 
 @dataclass(frozen=True)
@@ -174,20 +82,18 @@ def _parse_lattice(text: str, L_x: float, L_t: float) -> spectra.Lattice:
     return spectra.Lattice(k=len(spatial), n_x=spatial[0], n_t=n_t, L_x=L_x, L_t=L_t)
 
 
+def _load_coeffs(entries) -> dict:
+    """Symbol coefficients keyed by (alpha, beta) from their JSON entries."""
+    coeffs = {}
+    for entry in entries:
+        key = (tuple(entry["alpha"]), int(entry["beta"]))
+        coeffs[key] = complex(entry.get("re", 0.0), entry.get("im", 0.0))
+    return coeffs
+
+
 def _load_symbol(d: dict) -> parabolicity.PrincipalSymbol:
-    coeffs = {}
-    for entry in d["A"]:
-        key = (tuple(entry["alpha"]), int(entry["beta"]))
-        coeffs[key] = complex(entry.get("re", 0.0), entry.get("im", 0.0))
+    coeffs = _load_coeffs(d["A"])
     return parabolicity.PrincipalSymbol(n=d["n"], b=d["b"], m=d["m"], coeffs=coeffs)
-
-
-def _load_boundary(d: dict, n: int, b: int) -> parabolicity.BoundarySymbol:
-    coeffs = {}
-    for entry in d["coeffs"]:
-        key = (tuple(entry["alpha"]), int(entry["beta"]))
-        coeffs[key] = complex(entry.get("re", 0.0), entry.get("im", 0.0))
-    return parabolicity.BoundarySymbol(n=n, b=b, m_j=d["m_j"], coeffs=coeffs)
 
 
 def _load_frames(entries) -> list[parabolicity.BoundaryFrame]:
@@ -227,7 +133,12 @@ def _cmd_check_parabolic(cfg: RunConfig) -> tuple[dict, int]:
     report = {"petrovskii": verdict.to_json_dict()}
     passed = verdict.passed
     if spec.get("B"):
-        Bs = [_load_boundary(bd, A.n, A.b) for bd in spec["B"]]
+        Bs = [
+            parabolicity.BoundarySymbol(
+                n=A.n, b=A.b, m_j=bd["m_j"], coeffs=_load_coeffs(bd["coeffs"])
+            )
+            for bd in spec["B"]
+        ]
         if spec.get("frames"):
             frames = _load_frames(spec["frames"])
         else:
@@ -260,7 +171,8 @@ def _cmd_norm(cfg: RunConfig) -> tuple[dict, int]:
         "hnorm": spectra.hnorm(g, idx),
         "l2": l2,
         "dft_roundtrip_error": rt,
-        "weight_at_origin": spectra.hormander_weight(idx, [0.0] * g.lattice.k, 0.0),
+        # r_gamma = 1 at xi = 0, eta = 0, so the weight there is phi(1)
+        "weight_at_origin": class_m.eval_phi(idx.phi, 1.0),
         "r_gamma_max": float(np.max(spectra.r_gamma_array(g.lattice, idx.gamma))),
     }
     window = cfg.opt("embed_window")
@@ -282,8 +194,11 @@ def _cmd_verify_lemma71(cfg: RunConfig) -> tuple[dict, int]:
     s0, s, s1 = cfg.opt("s0"), cfg.opt("s"), cfg.opt("s1")
     gamma = cfg.opt("gamma")
     tol = cfg.opt("tol", 1e-10)
+    trials = cfg.opt("trials", 8)
+    if trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {trials}")
     deviations = []
-    for trial in range(cfg.opt("trials", 8)):
+    for trial in range(trials):
         g = spectra.random_grid(lat, cfg.opt("seed", 0) + trial)
         ratio = interpolation.verify_lemma71(g, s0, s, s1, gamma, phi)
         deviations.append(abs(ratio - 1.0))

@@ -52,7 +52,7 @@ def criterion_verdict(phi: PhiFunction) -> str:
     return "diverges"
 
 
-def criterion_partial(phi: PhiFunction, R: float, *, epsrel: float = 1e-10) -> float:
+def criterion_partial(phi: PhiFunction, R: float) -> float:
     """int_1^R dr / (r phi(r)**2), computed in the variable u = log r."""
     if R < 1.0:
         raise ValueError("R must be >= 1")
@@ -70,7 +70,7 @@ def criterion_partial(phi: PhiFunction, R: float, *, epsrel: float = 1e-10) -> f
         lc = math.log(phi.cutoff)
         if 0.0 < lc < upper:
             pts = [lc]
-    val, _err = quad(integrand, 0.0, upper, points=pts or None, limit=400, epsrel=epsrel)
+    val, _err = quad(integrand, 0.0, upper, points=pts or None, limit=400, epsrel=1e-10)
     return float(val)
 
 
@@ -135,16 +135,16 @@ def _gauss(a, b, n: int) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
 
 
-def _angular_moment(alpha: tuple[int, ...], n_nodes: int = 64) -> float:
-    """Integral of |omega**alpha|**2 over the unit sphere, by quadrature."""
+def _angular_moment(alpha: tuple[int, ...]) -> float:
+    """Integral of |omega**alpha|**2 over the unit sphere, by 64-node quadrature."""
     n = len(alpha)
     if n == 2:
-        th, w = _gauss(0.0, 2.0 * math.pi, n_nodes)
+        th, w = _gauss(0.0, 2.0 * math.pi, 64)
         vals = (np.cos(th) ** 2) ** alpha[0] * (np.sin(th) ** 2) ** alpha[1]
         return float(np.sum(vals * w))
     if n == 3:
-        th, wt = _gauss(0.0, math.pi, n_nodes)
-        ph, wp = _gauss(0.0, 2.0 * math.pi, n_nodes)
+        th, wt = _gauss(0.0, math.pi, 64)
+        ph, wp = _gauss(0.0, 2.0 * math.pi, 64)
         TH, PH = np.meshgrid(th, ph, indexing="ij")
         W = np.outer(wt, wp)
         ox = np.sin(TH) * np.cos(PH)
@@ -203,6 +203,8 @@ def _lhs_truncated(
 
 
 _CALIBRATION_CACHE: dict = {}
+# truncation radius of the phi == 1 run that fixes the angular constant
+_CALIBRATION_R = 30.0
 
 
 @dataclass(frozen=True)
@@ -228,8 +230,6 @@ def radial_reduction_check(
     alpha,
     beta: int,
     R: float,
-    *,
-    calibration_R: float = 30.0,
 ) -> RadialReductionResult:
     """Truncated multiple integral versus the calibrated radial integral.
 
@@ -258,11 +258,11 @@ def radial_reduction_check(
         return float(val)
 
     one = constant_one()
-    cache_key = (s, gamma, alpha, beta, calibration_R)
+    cache_key = (s, gamma, alpha, beta)
     c = _CALIBRATION_CACHE.get(cache_key)
     if c is None:
-        c = _lhs_truncated(s, gamma, one, alpha, beta, calibration_R) / tail(
-            one, calibration_R
+        c = _lhs_truncated(s, gamma, one, alpha, beta, _CALIBRATION_R) / tail(
+            one, _CALIBRATION_R
         )
         _CALIBRATION_CACHE[cache_key] = c
     lhs = _lhs_truncated(s, gamma, phi, alpha, beta, R)

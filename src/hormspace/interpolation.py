@@ -19,6 +19,7 @@ import numpy as np
 from .class_m import PhiFunction, eval_phi
 from .plus_spaces import RegionMask, plus_norm
 from .spectra import AnisotropicIndex, GridFunction, Lattice, hnorm, r_gamma_array
+from .spectra import _weighted_coeffs, _weighted_norm
 
 __all__ = [
     "DiagonalPair",
@@ -121,14 +122,16 @@ def generating_operator(pair: DiagonalPair) -> np.ndarray:
     return pair.mu1 / pair.mu0
 
 
+def _interp_weight(pair: DiagonalPair, p: InterpParameter) -> np.ndarray:
+    """The interpolated weight mu0 * psi(mu1 / mu0)."""
+    return pair.mu0 * eval_psi(p, generating_operator(pair))
+
+
 def interp_norm(g: GridFunction, pair: DiagonalPair, p: InterpParameter) -> float:
     """mu0-weighted norm of psi(multiplier) applied spectrally to g."""
     if g.lattice != pair.lattice:
         raise ValueError("grid and pair lattices differ")
-    mult = eval_psi(p, generating_operator(pair))
-    coeffs = np.fft.fftn(g.samples, norm="ortho")
-    w = pair.mu0 * mult
-    return float(np.sqrt(np.sum((w * np.abs(coeffs)) ** 2) * g.lattice.cell_volume))
+    return _weighted_norm(g, _interp_weight(pair, p))
 
 
 def verify_lemma71(
@@ -191,9 +194,8 @@ def direct_sum_interp_check(
     for pair, g in zip(pairs, g_list):
         if g.lattice != pair.lattice:
             raise ValueError("grid and pair lattices differ")
-        mult = eval_psi(p, generating_operator(pair))
-        coeffs = np.fft.fftn(g.samples, norm="ortho")
-        w = pair.mu0 * mult * np.abs(coeffs) * math.sqrt(pair.lattice.cell_volume)
+        root_cell = math.sqrt(pair.lattice.cell_volume)
+        w = _weighted_coeffs(_interp_weight(pair, p), g.samples) * root_cell
         weighted.append(w.ravel())
         per_summand.append(float(np.sqrt(np.sum(w**2))))
     lhs = float(np.linalg.norm(np.concatenate(weighted)))

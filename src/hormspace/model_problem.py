@@ -23,11 +23,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .class_m import PhiFunction, constant_one
+from .class_m import PhiFunction, constant_one, eval_phi
 from .errors import StabilityError
 from .parabolicity import PrincipalSymbol, petrovskii_check
 from .plus_spaces import PlusNormSolver, time_window_region
-from .spectra import AnisotropicIndex, GridFunction, Lattice, hnorm
+from .spectra import AnisotropicIndex, GridFunction, Lattice, hnorm, r_gamma_array
 
 __all__ = [
     "PeriodicParabolicOperator",
@@ -135,9 +135,7 @@ def _phi12(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return phi1, phi2
 
 
-def solve_periodic(
-    op: PeriodicParabolicOperator, f: GridFunction, *, support_tol: float = 1e-12
-) -> GridFunction:
+def solve_periodic(op: PeriodicParabolicOperator, f: GridFunction) -> GridFunction:
     """Duhamel solution with zero Cauchy data; vanishes exactly for t <= 0.
 
     The forcing must be supported in 0 <= t <= tau.  Raises StabilityError
@@ -150,7 +148,7 @@ def solve_periodic(
     scale = float(np.max(np.abs(f.samples))) if f.samples.size else 0.0
     if scale > 0:
         off = float(np.max(np.abs(f.samples[..., outside]), initial=0.0))
-        if off > support_tol * scale:
+        if off > 1e-12 * scale:
             raise ValueError("forcing is not supported in 0 <= t <= tau")
 
     lam = op.lambda_modes(lat)
@@ -242,21 +240,17 @@ def apply_operator(
 
 
 def roundtrip_residual(
-    op: PeriodicParabolicOperator,
-    f: GridFunction,
-    u: GridFunction | None = None,
-    *,
-    time_derivative: str = "fd4",
+    op: PeriodicParabolicOperator, f: GridFunction, u: GridFunction | None = None
 ) -> float:
     """Relative L2 size of (A u - f) at interior nodes 0 < t < tau.
 
-    A fourth-order stencil is used by default so that the measured residual
+    d/dt is the fourth-order stencil, so that the measured residual
     reflects the quadrature error of the solve rather than the error of the
     residual evaluator itself.
     """
     if u is None:
         u = solve_periodic(op, f)
-    au = apply_operator(op, u, time_derivative=time_derivative)
+    au = apply_operator(op, u, time_derivative="fd4")
     t = f.lattice.t_axis()
     interior = (t > 0.0) & (t < op.tau)
     resid = (au.samples - f.samples)[..., interior]
@@ -303,21 +297,27 @@ def two_sided_ratio(
     return float(min(ratios)), float(max(ratios))
 
 
-def synthesize_forcing(
-    lattice: Lattice,
-    tau: float,
-    seed: int,
-    *,
-    band: int = 2,
-    mean_zero: bool = False,
-) -> GridFunction:
-    """Random band-limited field times a smooth time bump supported in (0, tau).
+def _time_bump(lattice: Lattice, tau: float) -> np.ndarray:
+    """exp(-1/(y(1-y))) at y = t/tau inside (0, 1), 0 outside, shaped to
+    broadcast along the time axis."""
+    y = lattice.t_axis() / tau
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        bump = np.where(
+            (y > 0.0) & (y < 1.0), np.exp(-1.0 / np.clip(y * (1.0 - y), 1e-300, None)), 0.0
+        )
+    return bump.reshape((1,) * lattice.k + (lattice.n_t,))
+
+
+def synthesize_forcing(lattice: Lattice, tau: float, seed: int) -> GridFunction:
+    """Random field with mode numbers |m| <= 2 on every axis, times a smooth
+    time bump supported in (0, tau).
 
     The spectral coefficients depend only on the integer mode numbers and
     the seed, so refining the lattice samples the same continuum function.
     """
     rng = np.random.default_rng(seed)
     k = lattice.k
+    band = 2
     width = 2 * band + 1
     coeff = rng.standard_normal((width,) * (k + 1)) + 1j * rng.standard_normal(
         (width,) * (k + 1)
@@ -328,19 +328,14 @@ def synthesize_forcing(
         pos = tuple(
             m % n for m, n in zip(modes, lattice.shape)
         )
-        if mean_zero and all(m == 0 for m in modes[:k]):
-            continue
         # (-1)**m_t aligns the index transform with the centered time window
         bins[pos] = coeff[tuple(m + band for m in modes)] * (-1) ** modes[-1]
     field = np.fft.ifftn(bins, norm="ortho") * math.sqrt(lattice.size)
-    t = lattice.t_axis()
-    y = t / tau
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        bump = np.where(
-            (y > 0.0) & (y < 1.0), np.exp(-1.0 / np.clip(y * (1.0 - y), 1e-300, None)), 0.0
-        )
-    bump *= 54.6  # exp(-1/(y(1-y))) peaks at exp(-4); rescale to O(1)
-    return GridFunction(lattice, field * bump.reshape((1,) * k + (lattice.n_t,)))
+    # exp(-1/(y(1-y))) peaks at exp(-4); rescale to O(1)
+    return GridFunction(lattice, field * (_time_bump(lattice, tau) * 54.6))
+
+
+_GROWTH_LIMIT = 2.0
 
 
 @dataclass(frozen=True)
@@ -366,7 +361,6 @@ def regularity_inheritance_check(
     levels: int = 3,
     extra_decay: float = 2.0,
     seed: int = 0,
-    growth_limit: float = 2.0,
 ) -> InheritanceReport:
     """Solution norms across a refinement ladder for class-matched forcing.
 
@@ -374,7 +368,7 @@ def regularity_inheritance_check(
     with deterministic phases, windowed smoothly into (0, tau).  With
     extra_decay above (k+1)/2 the forcing norms stay bounded and so should
     the solution norms; extra_decay = 0 sits outside the class and the
-    report flags the resulting growth.
+    report flags a level whose solution norm grows by more than 2x.
     """
     if phi is None:
         phi = constant_one()
@@ -384,9 +378,6 @@ def regularity_inheritance_check(
     gamma = 1.0 / (2.0 * op.symbol.b)
     idx_u = AnisotropicIndex(sigma, gamma, phi)
     idx_f = AnisotropicIndex(sigma - order, gamma, phi)
-    from .class_m import eval_phi
-    from .spectra import r_gamma_array
-
     rows = []
     lat = base_lattice
     prev_u = None
@@ -396,21 +387,13 @@ def regularity_inheritance_check(
         profile = r ** (-(sigma - order + extra_decay)) / eval_phi(phi, r)
         phases = _deterministic_phases(lat, seed)
         field = np.fft.ifftn(profile * phases, norm="ortho")
-        t = lat.t_axis()
-        y = t / op.tau
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            bump = np.where(
-                (y > 0.0) & (y < 1.0),
-                np.exp(-1.0 / np.clip(y * (1.0 - y), 1e-300, None)),
-                0.0,
-            )
-        f = GridFunction(lat, field * bump.reshape((1,) * lat.k + (lat.n_t,)))
+        f = GridFunction(lat, field * _time_bump(lat, op.tau))
         u = solve_periodic(op, f)
         region = time_window_region(lat, 0.0, op.tau)
         u_norm = PlusNormSolver(idx_u, region).solve(u.samples).norm
         f_norm = hnorm(f, idx_f)
         growth = None if prev_u is None else u_norm / prev_u
-        if growth is not None and growth > growth_limit:
+        if growth is not None and growth > _GROWTH_LIMIT:
             flagged = True
         rows.append(
             {
@@ -423,7 +406,7 @@ def regularity_inheritance_check(
         )
         prev_u = u_norm
         lat = lat.refine(2, 2)
-    return InheritanceReport(rows, flagged, growth_limit)
+    return InheritanceReport(rows, flagged, _GROWTH_LIMIT)
 
 
 def _deterministic_phases(lattice: Lattice, seed: int) -> np.ndarray:

@@ -223,12 +223,7 @@ class PetrovskiiVerdict:
         }
 
 
-def petrovskii_check(
-    A: PrincipalSymbol,
-    n_samples: int,
-    *,
-    delta_min: float = _DELTA_MIN,
-) -> PetrovskiiVerdict:
+def petrovskii_check(A: PrincipalSymbol, n_samples: int) -> PetrovskiiVerdict:
     """Certify A != 0 on the set {|xi|**2 + |p|**2 = 1, Re p >= 0}.
 
     Samples the hemisphere quasi-randomly (plus the axis points xi = 0,
@@ -237,7 +232,7 @@ def petrovskii_check(
     bound Re p >= 0.  The reported min_abs is |A| at the reported witness;
     for the heat symbol it matches the closed form sqrt(3)/2 to about
     1e-16, and a genuine zero is located to |A| ~ 1e-17.  Passes iff
-    min_abs exceeds delta_min.
+    min_abs exceeds 1e-9.
     """
     from scipy.optimize import minimize
 
@@ -303,7 +298,7 @@ def petrovskii_check(
             best_pt = w
 
     return PetrovskiiVerdict(
-        passed=bool(best_val * scale > delta_min),
+        passed=bool(best_val * scale > _DELTA_MIN),
         min_abs=best_val * scale,
         witness_xi=best_pt[:n].copy(),
         witness_p=complex(best_pt[n], best_pt[n + 1]),

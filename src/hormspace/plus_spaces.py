@@ -78,7 +78,7 @@ class PlusNormSolver:
     """Reusable least-norm solver for a fixed (index, region) pair.
 
     Precomputes the (per-mode or dense) normal matrices once; `solve` then
-    handles any data vector on V.  Conditioning beyond 1e12 triggers a
+    handles any finite data vector on V.  Conditioning beyond 1e12 triggers a
     relative Tikhonov ridge of 1e-12.
     """
 
@@ -216,6 +216,8 @@ class PlusNormSolver:
     def _expand(self, u_on_v) -> np.ndarray:
         lat = self.lattice
         arr = np.asarray(u_on_v, dtype=complex)
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("data must be finite")
         full = np.zeros(lat.shape, dtype=complex)
         if arr.shape == lat.shape:
             full[self.region.v_mask] = arr[self.region.v_mask]

@@ -30,8 +30,6 @@ __all__ = [
     "Lattice",
     "GridFunction",
     "SpectralField",
-    "r_gamma",
-    "hormander_weight",
     "dft",
     "idft",
     "hnorm",
@@ -120,7 +118,7 @@ class Lattice:
 
 @dataclass(frozen=True)
 class GridFunction:
-    """Complex samples on a lattice."""
+    """Finite complex samples on a lattice."""
 
     lattice: Lattice
     samples: np.ndarray
@@ -129,6 +127,8 @@ class GridFunction:
         arr = np.asarray(self.samples, dtype=complex)
         if arr.shape != self.lattice.shape:
             raise ValueError(f"samples shape {arr.shape} != lattice shape {self.lattice.shape}")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("samples must be finite")
         object.__setattr__(self, "samples", arr)
 
 
@@ -144,20 +144,6 @@ class SpectralField:
         if arr.shape != self.lattice.shape:
             raise ValueError(f"coeffs shape {arr.shape} != lattice shape {self.lattice.shape}")
         object.__setattr__(self, "coeffs", arr)
-
-
-def r_gamma(xi, eta, gamma: float):
-    """(1 + |xi|**2 + |eta|**(2 gamma))**(1/2); xi a vector or scalar."""
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    xi_arr = np.atleast_1d(np.asarray(xi, dtype=float))
-    return float(np.sqrt(1.0 + np.sum(xi_arr**2) + abs(eta) ** (2.0 * gamma)))
-
-
-def hormander_weight(idx: AnisotropicIndex, xi, eta) -> float:
-    """r_gamma**s * phi(r_gamma) at a single frequency point."""
-    r = r_gamma(xi, eta, idx.gamma)
-    return r**idx.s * eval_phi(idx.phi, r)
 
 
 def r_gamma_array(lattice: Lattice, gamma: float) -> np.ndarray:
@@ -176,7 +162,8 @@ def r_gamma_array(lattice: Lattice, gamma: float) -> np.ndarray:
 
 
 def weight_array(lattice: Lattice, idx: AnisotropicIndex) -> np.ndarray:
-    """hormander_weight over the whole frequency lattice (FFT order)."""
+    """The Hormander weight r_gamma**s * phi(r_gamma) over the whole
+    frequency lattice (FFT order)."""
     r = r_gamma_array(lattice, idx.gamma)
     return r**idx.s * eval_phi(idx.phi, r)
 
@@ -191,15 +178,24 @@ def idft(field: SpectralField) -> GridFunction:
     return GridFunction(field.lattice, np.fft.ifftn(field.coeffs, norm="ortho"))
 
 
+def _weighted_coeffs(w: np.ndarray, samples: np.ndarray) -> np.ndarray:
+    """w times the moduli of the unitary DFT coefficients of samples."""
+    return w * np.abs(np.fft.fftn(samples, norm="ortho"))
+
+
+def _weighted_norm(g: GridFunction, w: np.ndarray) -> float:
+    """(sum (w |coeff|)**2 cell_volume)**(1/2), the norm behind hnorm and
+    the interpolation norms."""
+    return float(np.sqrt(np.sum(_weighted_coeffs(w, g.samples) ** 2) * g.lattice.cell_volume))
+
+
 def hnorm(g: GridFunction, idx: AnisotropicIndex) -> float:
     """Weighted spectral norm: (sum weight**2 |coeff|**2 cell_volume)**(1/2).
 
     With s=0 and phi==1 this is the L2 norm of the samples scaled by the
     square root of the frequency cell volume (Parseval).
     """
-    w = weight_array(g.lattice, idx)
-    coeffs = np.fft.fftn(g.samples, norm="ortho")
-    return float(np.sqrt(np.sum((w * np.abs(coeffs)) ** 2) * g.lattice.cell_volume))
+    return _weighted_norm(g, weight_array(g.lattice, idx))
 
 
 def embedding_constants(
@@ -225,18 +221,8 @@ def embedding_constants(
     return float(np.max(w0 / w)), float(np.max(w / w1))
 
 
-def random_grid(lattice: Lattice, seed: int, *, band: int | None = None) -> GridFunction:
-    """Seeded complex Gaussian samples; optional spectral band limit |m| <= band."""
+def random_grid(lattice: Lattice, seed: int) -> GridFunction:
+    """Seeded complex Gaussian samples."""
     rng = np.random.default_rng(seed)
     samples = rng.standard_normal(lattice.shape) + 1j * rng.standard_normal(lattice.shape)
-    if band is None:
-        return GridFunction(lattice, samples)
-    coeffs = np.fft.fftn(samples, norm="ortho")
-    mask = np.ones(lattice.shape, dtype=bool)
-    for axis, n in enumerate(lattice.shape):
-        m = np.rint(np.fft.fftfreq(n) * n).astype(int)
-        shape = [1] * len(lattice.shape)
-        shape[axis] = n
-        mask &= (np.abs(m) <= band).reshape(shape)
-    coeffs[~mask] = 0.0
-    return GridFunction(lattice, np.fft.ifftn(coeffs, norm="ortho"))
+    return GridFunction(lattice, samples)

@@ -1,5 +1,9 @@
+import importlib
+import inspect
 import json
 import math
+import struct
+import sys
 
 import pytest
 
@@ -210,11 +214,96 @@ def test_float_serialization_17_digits():
     assert json.loads(text)["x"] == 1.0 / 3.0  # 17 digits round-trips exactly
 
 
-def test_command_table_covers_all_operations():
-    covered = set()
-    for ops in cli.COMMAND_TABLE.values():
-        covered.update(ops)
-    missing = [op for op in cli.OPERATIONS if op not in covered and op != "cli.run"]
-    assert not missing, f"operations unreachable from the CLI: {missing}"
-    for cmd in cli.COMMAND_TABLE:
-        assert cmd in cli._HANDLERS
+# Public functions that no command calls; each is still part of the library.
+LIBRARY_ONLY = {
+    "class_m.log_power",
+    "gridio.save_grid",
+    "gridio.grid_to_json",
+    "gridio.grid_from_json",
+    "parabolicity.symbol_eval",
+}
+
+LAYERS = (
+    "class_m",
+    "spectra",
+    "gridio",
+    "plus_spaces",
+    "interpolation",
+    "parabolicity",
+    "model_problem",
+    "embedding",
+)
+
+
+def test_every_public_function_is_reached_by_a_command(
+    capsys, monkeypatch, heat_file, grid_file
+):
+    """Spy on every public function of every layer, wherever a module binds
+    it, run each command with each of its report sections, and require every
+    function outside LIBRARY_ONLY to be called."""
+    modules = [m for name, m in sys.modules.items() if name.startswith("hormspace")]
+    public = set()
+    reached = set()
+    for layer in LAYERS:
+        mod = importlib.import_module(f"hormspace.{layer}")
+        for fname in mod.__all__:
+            fn = getattr(mod, fname)
+            if not (inspect.isfunction(fn) and fn.__module__ == mod.__name__):
+                continue
+            name = f"{layer}.{fname}"
+            public.add(name)
+
+            def spy(*args, _fn=fn, _name=name, **kwargs):
+                reached.add(_name)
+                return _fn(*args, **kwargs)
+
+            for owner in modules:
+                for attr, val in list(vars(owner).items()):
+                    if val is fn:
+                        monkeypatch.setattr(owner, attr, spy)
+    assert LIBRARY_ONLY <= public, "LIBRARY_ONLY names a function that is gone"
+
+    log_phi = '{"kind":"log_power","exponents":[0.6]}'
+    commands = [
+        (["sigma0", "--m", "1", "--b", "1", "--orders", "0"], 0),
+        (["check-parabolic", heat_file, "--samples", "200", "--frames", "5"], 0),
+        (["norm", grid_file, "--s", "1", "--gamma", "0.5", "--embed-window", "0", "2"], 0),
+        (["verify-lemma71", "--s0", "0", "--s", "1", "--s1", "2",
+          "--lattice", "8x8x8", "--trials", "2", "--phi", log_phi], 0),
+        (["plus-norm", grid_file, "--s", "1.8", "--gamma", "0.5", "--lemma51",
+          "--interp", "0", "1.8", "3"], 0),
+        (["model-verify", heat_file, "--sigma", "4", "--ensemble", "2",
+          "--lattice", "8x8x16", "--levels", "2"], 0),
+        (["embed-check", "--phi", log_phi, "--radial", "--weight-sum"], 0),
+        (["embed-check", "--phi", "1", "--n", "1", "--sharpness"], 1),
+    ]
+    assert {argv[0] for argv, _ in commands} == set(cli._HANDLERS)
+    for argv, expected in commands:
+        assert run_cli(capsys, argv)[0] == expected, argv
+    assert not (reached & LIBRARY_ONLY), "a library-only function is now reached"
+    missing = sorted(public - reached - LIBRARY_ONLY)
+    assert not missing, f"public functions no command reaches: {missing}"
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_verify_lemma71_refuses_trial_count_below_one(capsys, trials):
+    # zero trials computed no ratio and reported a vacuous pass
+    code = cli.main(
+        ["verify-lemma71", "--s0", "0", "--s", "1", "--s1", "2",
+         "--lattice", "8x8x8", "--trials", trials]
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "--trials" in captured.err
+
+
+@pytest.mark.parametrize("command", ["norm", "plus-norm"])
+def test_grid_with_nan_sample_exit_2(capsys, grid_file, command):
+    # overwrite the first complex64 sample after the 32-byte header with nan
+    with open(grid_file, "r+b") as fh:
+        fh.seek(32)
+        fh.write(struct.pack("<ff", math.nan, 0.0))
+    code, out = run_cli(capsys, [command, grid_file, "--s", "1", "--gamma", "0.5"])
+    assert code == 2
+    assert out == ""

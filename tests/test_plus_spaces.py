@@ -33,6 +33,19 @@ def test_zero_data_gives_zero(small_lattice):
     assert np.max(np.abs(res.extension.samples)) == 0.0
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_plus_norm_refuses_non_finite_data(small_lattice, bad):
+    # once a silent nan norm
+    region = ps.time_window_region(small_lattice, 0.0, small_lattice.L_t / 4)
+    vector = np.ones(int(np.count_nonzero(region.v_mask)), dtype=complex)
+    vector[0] = bad
+    full = np.zeros(small_lattice.shape, dtype=complex)
+    full[region.v_mask] = vector
+    for data in (vector, full):
+        with pytest.raises(ValueError, match="finite"):
+            ps.plus_norm(data, sp.AnisotropicIndex(1.0, 0.5), region)
+
+
 def test_supported_restriction_bounded_by_full_norm(small_lattice):
     # data = restriction of a w0 already supported in t >= 0: plus norm <= hnorm(w0)
     t = small_lattice.t_axis()

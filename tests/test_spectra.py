@@ -8,20 +8,27 @@ from hormspace import spectra as sp
 
 
 def test_r_gamma_examples():
-    assert sp.r_gamma([0, 0], 0.0, 0.5) == 1.0
-    assert sp.r_gamma([1, 0], 0.0, 0.5) == pytest.approx(math.sqrt(2))
-    assert sp.r_gamma([0, 0], 4.0, 0.5) == pytest.approx(math.sqrt(5))
+    # with L = 2 pi the lattice frequencies are the integer mode numbers
+    lat = sp.Lattice(k=2, n_x=8, n_t=16, L_x=2 * math.pi, L_t=2 * math.pi)
+    r = sp.r_gamma_array(lat, 0.5)
+    assert r[0, 0, 0] == 1.0  # xi = (0, 0), eta = 0
+    assert r[1, 0, 0] == pytest.approx(math.sqrt(2))  # xi = (1, 0), eta = 0
+    assert r[0, 0, 4] == pytest.approx(math.sqrt(5))  # xi = (0, 0), eta = 4
     with pytest.raises(ValueError):
-        sp.r_gamma([0], 0.0, 0.0)
+        sp.r_gamma_array(sp.Lattice(k=1, n_x=8, n_t=8, L_x=1.0, L_t=1.0), 0.0)
 
 
 def test_hormander_weight_examples():
-    assert sp.hormander_weight(sp.AnisotropicIndex(0.0, 0.7), [3.0, 1.0], 2.0) == 1.0
-    assert sp.hormander_weight(sp.AnisotropicIndex(2.0, 0.5), [1.0, 0.0], 0.0) == pytest.approx(2.0)
-    # eta chosen so r_gamma = e exactly
+    lat = sp.Lattice(k=2, n_x=8, n_t=8, L_x=2 * math.pi, L_t=2 * math.pi)
+    # xi = (3, 1), eta = 2
+    assert sp.weight_array(lat, sp.AnisotropicIndex(0.0, 0.7))[3, 1, 2] == 1.0
+    # xi = (1, 0), eta = 0
+    w = sp.weight_array(lat, sp.AnisotropicIndex(2.0, 0.5))
+    assert w[1, 0, 0] == pytest.approx(2.0)
+    # a time period that puts eta = e**2 - 1 on the lattice, so r_gamma = e
+    lat_e = sp.Lattice(k=2, n_x=8, n_t=8, L_x=2 * math.pi, L_t=2 * math.pi / (math.e**2 - 1.0))
     idx = sp.AnisotropicIndex(1.0, 0.5, cm.log_power([1], cutoff=math.e))
-    eta = math.e**2 - 1.0
-    assert sp.hormander_weight(idx, [0.0, 0.0], eta) == pytest.approx(math.e, rel=1e-14)
+    assert sp.weight_array(lat_e, idx)[0, 0, 1] == pytest.approx(math.e, rel=1e-14)
 
 
 def test_lattice_validation():
@@ -86,7 +93,11 @@ def test_hnorm_zero_and_single_mode(small_lattice):
     g = sp.idft(sp.SpectralField(small_lattice, coeffs))
     xi = small_lattice.xi_axis()[3]
     eta = small_lattice.eta_axis()[5]
-    expected = sp.hormander_weight(idx, [xi], eta) * math.sqrt(small_lattice.cell_volume)
+    # closed form: r_gamma = (1 + xi**2 + |eta|)**(1/2) at gamma = 1/2, and
+    # log_power([1]) is log r above its cutoff e and 1 below it
+    r = math.sqrt(1.0 + xi**2 + abs(eta))
+    weight = r**1.3 * (math.log(r) if r >= math.e else 1.0)
+    expected = weight * math.sqrt(small_lattice.cell_volume)
     assert sp.hnorm(g, idx) == pytest.approx(expected, rel=1e-13)
 
 
@@ -129,6 +140,14 @@ def test_norm_chain_certified(medium_lattice):
         g = sp.random_grid(medium_lattice, seed)
         assert sp.hnorm(g, idx0) <= c_low * sp.hnorm(g, idx) * (1 + 1e-12)
         assert sp.hnorm(g, idx) <= c_high * sp.hnorm(g, idx1) * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_grid_function_refuses_non_finite_samples(small_lattice, bad):
+    samples = np.ones(small_lattice.shape, dtype=complex)
+    samples[2, 3] = complex(0.0, bad)
+    with pytest.raises(ValueError, match="finite"):
+        sp.GridFunction(small_lattice, samples)
 
 
 def test_grid_shape_validation(small_lattice):
