@@ -10,7 +10,7 @@ class InfeasibleConstraintError(HormspaceError, ValueError):
 
 
 class ConditioningError(HormspaceError, RuntimeError):
-    """A linear solve failed even after Tikhonov regularization."""
+    """A linear system is too ill-conditioned for its solution to be trusted."""
 
     def __init__(self, message, condition_number=None):
         super().__init__(message)

@@ -3,9 +3,15 @@
 The norm of data u given on V is the minimum weighted spectral norm over
 all grid functions w with w = u on V and w = 0 at every point outside the
 t >= 0 half-window.  The constraint set is affine, so the minimizer solves
-weighted normal equations; when both masks are constant across the spatial
-axes ("time slabs") the problem decouples into one small solve per spatial
-mode, which is the fast path used by the model-problem module.
+weighted normal equations on the remaining free points.  The weighted norm
+is a convolution, so the normal matrix is a gather from the inverse DFT of
+the squared weight (a circulant restricted to the free set; Chan & Ng,
+SIAM Rev. 38, 1996).  When both masks are constant across the spatial axes
+("time slabs") the problem decouples after a spatial DFT into one small
+block per spatial mode, the fast path used by the model-problem module;
+any other region is one block over the whole lattice.  Normal equations
+with condition number above 1e12 are refused with ConditioningError, never
+regularised.
 """
 
 from __future__ import annotations
@@ -29,7 +35,6 @@ __all__ = [
 ]
 
 _COND_LIMIT = 1e12
-_RIDGE_REL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -77,125 +82,50 @@ def _is_time_slab(mask: np.ndarray, n_t: int) -> bool:
 class PlusNormSolver:
     """Reusable least-norm solver for a fixed (index, region) pair.
 
-    Precomputes the (per-mode or dense) normal matrices once; `solve` then
-    handles any finite data vector on V.  Conditioning beyond 1e12 triggers a
-    relative Tikhonov ridge of 1e-12.
+    The weighted energy of w is the quadratic form of the circulant
+    M = F* diag(w**2) F (F the unitary DFT), so on the free points the
+    normal matrix is a gather from one inverse DFT of the squared weight:
+    G[i, j] = ifftn(w**2)[(x_i - x_j) mod shape].  A time-slab region is
+    first transformed along the spatial axes and splits into one block of
+    shape (n_t,) per spatial mode; any other region is one block of shape
+    lattice.shape.  The matrices are built once and `solve` then handles any
+    finite data vector on V.  A block condition number above 1e12 raises
+    ConditioningError: the answer is refused rather than regularised.
     """
 
     def __init__(self, idx: AnisotropicIndex, region: RegionMask):
         self.idx = idx
         self.region = region
-        self.lattice = region.lattice
-        lat = self.lattice
-        self.w2 = weight_array(lat, idx) ** 2
+        self.lattice = lat = region.lattice
         self.fixed_mask = region.v_mask | ~region.t_nonneg_mask
         self.free_mask = region.t_nonneg_mask & ~region.v_mask
         self.forced_zero = region.v_mask & ~region.t_nonneg_mask
         self.slab = _is_time_slab(region.v_mask, lat.n_t) and _is_time_slab(
             region.t_nonneg_mask, lat.n_t
         )
-        if self.slab:
-            self._init_slab()
-        else:
-            self._init_dense()
-
-    # -- time-slab fast path ------------------------------------------------
-
-    def _init_slab(self):
-        lat = self.lattice
-        n_t = lat.n_t
-        v_t = self.region.v_mask.reshape(-1, n_t)[0]
-        tn_t = self.region.t_nonneg_mask.reshape(-1, n_t)[0]
-        self.free_t = np.flatnonzero(tn_t & ~v_t)
-        nf = self.free_t.size
-        self.w2_modes = self.w2.reshape(-1, n_t)
-        if nf == 0:
-            self.G = None
-            return
-        eye = np.zeros((n_t, nf))
-        eye[self.free_t, np.arange(nf)] = 1.0
-        self.E = np.fft.fft(eye, axis=0, norm="ortho")  # (n_t, nf)
-        G = np.einsum("ti,xt,tj->xij", self.E.conj(), self.w2_modes, self.E)
-        G = 0.5 * (G + np.conj(np.swapaxes(G, -1, -2)))
-        ev = np.linalg.eigvalsh(G)
-        cond = ev[:, -1] / np.maximum(ev[:, 0], 1e-300)
-        bad = cond > _COND_LIMIT
-        if np.any(bad):
-            ridge = _RIDGE_REL * ev[bad, -1]
-            G[bad] += ridge[:, None, None] * np.eye(nf)
-        self.G = G
-        self.max_cond = float(np.max(cond))
-
-    def _solve_slab(self, u_full: np.ndarray) -> tuple[float, np.ndarray]:
-        lat = self.lattice
-        k, n_t = lat.k, lat.n_t
-        w_fix = np.where(self.fixed_mask, u_full, 0.0)
-        spatial = np.fft.fftn(w_fix, axes=tuple(range(k)), norm="ortho")
-        modes = spatial.reshape(-1, n_t)
-        if self.free_t.size:
-            u_hat = np.fft.fft(modes, axis=-1, norm="ortho")
-            rhs = -np.einsum("ti,xt,xt->xi", self.E.conj(), self.w2_modes, u_hat)
-            try:
-                z = np.linalg.solve(self.G, rhs[..., None])[..., 0]
-            except np.linalg.LinAlgError as exc:
-                raise ConditioningError(
-                    "per-mode normal equations singular", getattr(self, "max_cond", None)
-                ) from exc
-            modes = modes.copy()
-            modes[:, self.free_t] += z
-        full_hat = np.fft.fft(modes, axis=-1, norm="ortho")
-        energy = float(np.sum(self.w2_modes * np.abs(full_hat) ** 2))
-        w = np.fft.ifftn(modes.reshape(lat.shape), axes=tuple(range(k)), norm="ortho")
-        return energy, w
-
-    # -- dense general path -------------------------------------------------
-
-    def _apply_m(self, w: np.ndarray) -> np.ndarray:
-        return np.fft.ifftn(self.w2 * np.fft.fftn(w, norm="ortho"), norm="ortho")
-
-    def _init_dense(self):
-        lat = self.lattice
-        free_idx = np.flatnonzero(self.free_mask.ravel())
-        self.free_idx = free_idx
-        nf = free_idx.size
-        if nf == 0:
-            self.G_factor = None
-            return
-        cols = np.empty((nf, nf), dtype=complex)
-        basis = np.zeros(lat.size, dtype=complex)
-        for j, idx_flat in enumerate(free_idx):
-            basis[idx_flat] = 1.0
-            mcol = self._apply_m(basis.reshape(lat.shape)).ravel()
-            cols[:, j] = mcol[free_idx]
-            basis[idx_flat] = 0.0
-        G = 0.5 * (cols + cols.conj().T)
-        cond = float(np.linalg.cond(G))
-        if not np.isfinite(cond) or cond > _COND_LIMIT:
-            G = G + _RIDGE_REL * float(np.max(np.abs(np.diag(G)))) * np.eye(nf)
-        self.max_cond = cond
-        try:
-            import scipy.linalg as sla
-
-            self.G_factor = sla.cho_factor(G)
-        except Exception as exc:
-            raise ConditioningError("normal equations not positive definite", cond) from exc
-
-    def _solve_dense(self, u_full: np.ndarray) -> tuple[float, np.ndarray]:
-        import scipy.linalg as sla
-
-        lat = self.lattice
-        w_fix = np.where(self.fixed_mask, u_full, 0.0)
-        w = w_fix
-        if self.free_idx.size:
-            rhs = -self._apply_m(w_fix).ravel()[self.free_idx]
-            z = sla.cho_solve(self.G_factor, rhs)
-            w = w_fix.copy().ravel()
-            w[self.free_idx] = z
-            w = w.reshape(lat.shape)
-        energy = float(np.sum(self.w2 * np.abs(np.fft.fftn(w, norm="ortho")) ** 2))
-        return energy, w
-
-    # -- public interface ---------------------------------------------------
+        self.outer_axes = tuple(range(lat.k)) if self.slab else ()
+        block_shape = lat.shape[len(self.outer_axes) :]
+        self.block_axes = tuple(range(1, len(block_shape) + 1))
+        self.w2 = (weight_array(lat, idx) ** 2).reshape((-1,) + block_shape)
+        n_blocks = len(self.w2)
+        # all slab rows share one free set; a general region has one row
+        self.free = np.flatnonzero(self.free_mask.reshape(n_blocks, -1)[0])
+        diff = np.zeros((self.free.size, self.free.size), dtype=np.intp)
+        for c, n in zip(np.unravel_index(self.free, block_shape), block_shape):
+            diff = diff * n + (c[:, None] - c[None, :]) % n
+        kernel = np.fft.ifftn(self.w2, axes=self.block_axes).reshape(n_blocks, -1)
+        self.G = kernel[:, diff]
+        ev = np.linalg.eigvalsh(self.G)
+        # an empty free set leaves nothing to solve
+        self.max_cond = (
+            float(np.max(ev[:, -1] / np.maximum(ev[:, 0], 1e-300))) if self.free.size else 1.0
+        )
+        if not self.max_cond <= _COND_LIMIT:
+            raise ConditioningError(
+                f"normal equations have condition number {self.max_cond:.3g} > "
+                f"{_COND_LIMIT:g}; the plus norm is refused",
+                self.max_cond,
+            )
 
     def solve(self, u_on_v) -> PlusNormResult:
         lat = self.lattice
@@ -206,10 +136,15 @@ class PlusNormSolver:
                 f"{n_bad} points of V lie outside the t >= 0 window but carry "
                 "nonzero data; no supported extension exists"
             )
-        if self.slab:
-            energy, w = self._solve_slab(u_full)
-        else:
-            energy, w = self._solve_dense(u_full)
+        w_fix = np.where(self.fixed_mask, u_full, 0.0)
+        blocks = np.fft.fftn(w_fix, axes=self.outer_axes, norm="ortho").reshape(len(self.w2), -1)
+        shape, axes = self.w2.shape, self.block_axes
+        coeffs = np.fft.fftn(blocks.reshape(shape), axes=axes, norm="ortho")
+        m_fix = np.fft.ifftn(self.w2 * coeffs, axes=axes, norm="ortho").reshape(blocks.shape)
+        blocks[:, self.free] = np.linalg.solve(self.G, -m_fix[:, self.free, None])[..., 0]
+        coeffs = np.fft.fftn(blocks.reshape(shape), axes=axes, norm="ortho")
+        energy = float(np.sum(self.w2 * np.abs(coeffs) ** 2))
+        w = np.fft.ifftn(blocks.reshape(lat.shape), axes=self.outer_axes, norm="ortho")
         norm = math.sqrt(max(energy, 0.0) * lat.cell_volume)
         return PlusNormResult(norm, GridFunction(lat, w))
 
@@ -240,6 +175,12 @@ def plus_norm(u_on_v, idx: AnisotropicIndex, region: RegionMask) -> PlusNormResu
     return PlusNormSolver(idx, region).solve(u_on_v)
 
 
+def _trace_order_excluded(sg: float) -> bool:
+    """True when s*gamma - 1/2 is an integer, the case the trace
+    characterization of the plus spaces excludes."""
+    return abs(sg - 0.5 - round(sg - 0.5)) < 1e-9
+
+
 def trace_defect(g: GridFunction, gamma: float, s: float) -> list[float]:
     """L2-in-x size of time-derivative traces at the slice nearest t = 0.
 
@@ -248,7 +189,7 @@ def trace_defect(g: GridFunction, gamma: float, s: float) -> list[float]:
     excluded.
     """
     sg = s * gamma
-    if abs(sg - 0.5 - round(sg - 0.5)) < 1e-9:
+    if _trace_order_excluded(sg):
         raise UnsupportedParameterError(
             f"s*gamma - 1/2 = {sg - 0.5} is an integer; the trace "
             "characterization excludes this case"
@@ -281,8 +222,7 @@ def lemma51_equivalence_ratio(
     """
     if idx.s <= 0:
         raise ValueError("requires s > 0")
-    sg = idx.s * idx.gamma
-    if abs(sg - 0.5 - round(sg - 0.5)) < 1e-9:
+    if _trace_order_excluded(idx.s * idx.gamma):
         raise UnsupportedParameterError("s*gamma - 1/2 must not be an integer")
     numer = plus_norm(g.samples, idx, region).norm
     free_region = RegionMask(

@@ -53,6 +53,8 @@ class AnisotropicIndex:
     phi: PhiFunction = None
 
     def __post_init__(self):
+        if not (math.isfinite(self.s) and math.isfinite(self.gamma)):
+            raise ValueError("s and gamma must be finite")
         if self.gamma <= 0:
             raise ValueError("gamma must be positive")
         if self.phi is None:

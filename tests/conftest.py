@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hormspace import parabolicity as pb
+from hormspace import plus_spaces as ps
 from hormspace import spectra as sp
 
 
@@ -87,6 +88,18 @@ def oracle_plus_norm(u_full, idx, region):
     else:
         resid = c
     return float(np.linalg.norm(resid) * math.sqrt(lat.cell_volume))
+
+
+def scattered_16x32():
+    """A k=1, 16x32 lattice with a seeded scattered 30% region in t >= 0 and
+    complex data on it.  At gamma = 1/2 its normal equations have condition
+    number ~3.4e11 at s = 14 and ~9.2e12 at s = 16, either side of 1e12."""
+    lat = sp.Lattice(k=1, n_x=16, n_t=32, L_x=2 * math.pi, L_t=2 * math.pi)
+    rng = np.random.default_rng(3)
+    tn = np.broadcast_to(lat.t_axis() >= 0, lat.shape).copy()
+    v = (rng.random(lat.shape) < 0.3) & tn
+    u = rng.standard_normal(lat.shape) + 1j * rng.standard_normal(lat.shape)
+    return ps.RegionMask(lat, v, tn), np.where(v, u, 0)
 
 
 @pytest.fixture

@@ -7,7 +7,12 @@ import importlib.util
 import inspect
 from pathlib import Path
 
+import numpy as np
+import pytest
+
+from conftest import scattered_16x32
 from hormspace import model_problem, plus_spaces
+from hormspace.spectra import AnisotropicIndex
 
 SPANS_PY = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
@@ -45,3 +50,29 @@ def test_coverage_spans_name_public_functions():
         if fname not in mod.__all__ or not inspect.isfunction(fn):
             unknown.append(name)
     assert not unknown, f"bench coverage names no public function: {unknown}"
+
+
+@pytest.mark.parametrize("slab", [True, False])
+def test_solver_setup_hook_reads_solver_attributes(slab):
+    # bench/spans.py::_solver_init names the setup span by `slab` and records
+    # `free_mask`, `max_cond` and `_COND_LIMIT`; a solver rewrite that drops
+    # one of them should fail here, not only in the traced benchmark
+    spans = _load_spans()
+    region, _ = scattered_16x32()
+    if slab:
+        region = plus_spaces.time_window_region(region.lattice, 0.0, 1.0)
+    idx = AnisotropicIndex(1.0, 0.5)
+    assert isinstance(plus_spaces._COND_LIMIT, float)
+    solver = plus_spaces.PlusNormSolver.__new__(plus_spaces.PlusNormSolver)
+    rec = ["plus_spaces.setup", -1, 0, 0.0, 0.0, None]
+    spans._solver_init(plus_spaces._COND_LIMIT)(
+        rec, plus_spaces.PlusNormSolver.__init__, (solver, idx, region), {}
+    )
+    assert solver.slab is slab
+    assert rec[0] == ("plus_spaces.setup_slab" if slab else "plus_spaces.setup_dense")
+    assert isinstance(solver.free_mask, np.ndarray) and solver.free_mask.dtype == bool
+    assert solver.free_mask.shape == region.lattice.shape
+    assert isinstance(solver.max_cond, float) and 1.0 <= solver.max_cond <= plus_spaces._COND_LIMIT
+    assert rec[5]["n_free"] == int(np.count_nonzero(region.t_nonneg_mask & ~region.v_mask))
+    assert rec[5]["max_cond"] == solver.max_cond
+    assert rec[5]["ridge_fired"] == 0

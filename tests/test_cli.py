@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from conftest import scattered_16x32
 from hormspace import cli, gridio
 from hormspace import plus_spaces as ps
 from hormspace import spectra as sp
@@ -307,3 +308,27 @@ def test_grid_with_nan_sample_exit_2(capsys, grid_file, command):
     code, out = run_cli(capsys, [command, grid_file, "--s", "1", "--gamma", "0.5"])
     assert code == 2
     assert out == ""
+
+
+@pytest.mark.parametrize(
+    "command, s, gamma",
+    [("norm", "nan", "0.5"), ("norm", "inf", "0.5"), ("plus-norm", "1", "nan"), ("plus-norm", "1", "inf")],
+)
+def test_non_finite_index_exit_2(capsys, grid_file, command, s, gamma):
+    # norm --s nan once reported "hnorm": "nan" with exit 0
+    code = cli.main([command, grid_file, "--s", s, "--gamma", gamma])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "s and gamma must be finite" in captured.err
+
+
+def test_plus_norm_ill_conditioned_exit_1(capsys, tmp_path):
+    region, u = scattered_16x32()
+    path = tmp_path / "scattered.hgrd"
+    gridio.save_grid(path, sp.GridFunction(region.lattice, u), region)
+    code = cli.main(["plus-norm", str(path), "--s", "16", "--gamma", "0.5"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "condition number" in captured.err

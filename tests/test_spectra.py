@@ -48,6 +48,15 @@ def test_lattice_refuses_non_finite_periods(bad):
         sp.Lattice(k=1, n_x=8, n_t=8, L_x=1.0, L_t=bad)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_index_refuses_non_finite_s_and_gamma(bad):
+    # gamma <= 0 is False for nan, so a nan index once gave a nan norm
+    with pytest.raises(ValueError, match="finite"):
+        sp.AnisotropicIndex(bad, 0.5)
+    with pytest.raises(ValueError, match="finite"):
+        sp.AnisotropicIndex(1.0, bad)
+
+
 def test_lattice_frequencies_and_time_axis(small_lattice):
     xi = small_lattice.xi_axis()
     m = np.rint(xi * small_lattice.L_x / (2 * math.pi)).astype(int)
