@@ -197,6 +197,8 @@ def _cmd_verify_lemma71(cfg: RunConfig) -> tuple[dict, int]:
     trials = cfg.opt("trials", 8)
     if trials < 1:
         raise ValueError(f"--trials must be at least 1, got {trials}")
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"--tol must be finite and nonnegative, got {tol}")
     deviations = []
     for trial in range(trials):
         g = spectra.random_grid(lat, cfg.opt("seed", 0) + trial)

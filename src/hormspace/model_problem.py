@@ -28,6 +28,7 @@ from .errors import StabilityError
 from .parabolicity import PrincipalSymbol, petrovskii_check
 from .plus_spaces import PlusNormSolver, time_window_region
 from .spectra import AnisotropicIndex, GridFunction, Lattice, hnorm, r_gamma_array
+from .spectra import _weighted_norm, weight_array
 
 __all__ = [
     "PeriodicParabolicOperator",
@@ -285,11 +286,12 @@ def two_sided_ratio(
     idx_f = AnisotropicIndex(sigma - order, gamma, phi)
     region = time_window_region(lat, 0.0, op.tau)
     solver = PlusNormSolver(idx_u, region)
+    w_f = weight_array(lat, idx_f)
     ratios = []
     for f in ensemble:
         if f.lattice != lat:
             raise ValueError("ensemble members live on different lattices")
-        fn = hnorm(f, idx_f)
+        fn = _weighted_norm(f, w_f)
         if fn == 0.0:
             raise ValueError("ensemble contains a zero forcing; ratio undefined")
         u = solve_periodic(op, f)

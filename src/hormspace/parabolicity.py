@@ -423,8 +423,11 @@ def covering_check(
     For each frame the boundary polynomials are reduced modulo the monic
     product over roots with positive imaginary part; the check passes iff
     the m x m matrix of remainder coefficients has smallest singular value
-    above tol times its largest entry magnitude at every frame.
+    above tol times its largest entry magnitude at every frame.  A negative
+    or non-finite tol would make the test vacuous and is refused.
     """
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
     m = A.m
     if len(Bs) != m:
         raise ValueError(f"need exactly m = {m} boundary symbols, got {len(Bs)}")

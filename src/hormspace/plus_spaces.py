@@ -9,9 +9,11 @@ the squared weight (a circulant restricted to the free set; Chan & Ng,
 SIAM Rev. 38, 1996).  When both masks are constant across the spatial axes
 ("time slabs") the problem decouples after a spatial DFT into one small
 block per spatial mode, the fast path used by the model-problem module;
-any other region is one block over the whole lattice.  Normal equations
-with condition number above 1e12 are refused with ConditioningError, never
-regularised.
+any other region is one block over the whole lattice.  The squared weight
+is even, so every block is real symmetric; one eigendecomposition per block
+at setup gives both the condition number and the factorization that every
+later solve reuses.  Normal equations with condition number above 1e12 are
+refused with ConditioningError, never regularised.
 """
 
 from __future__ import annotations
@@ -88,9 +90,11 @@ class PlusNormSolver:
     G[i, j] = ifftn(w**2)[(x_i - x_j) mod shape].  A time-slab region is
     first transformed along the spatial axes and splits into one block of
     shape (n_t,) per spatial mode; any other region is one block of shape
-    lattice.shape.  The matrices are built once and `solve` then handles any
-    finite data vector on V.  A block condition number above 1e12 raises
-    ConditioningError: the answer is refused rather than regularised.
+    lattice.shape.  The blocks are real symmetric: setup decomposes each
+    once, G = Q diag(ev) Q^T, keeps Q and 1/ev (not G), and `solve` then
+    handles any finite data vector on V with two batched real matrix
+    products.  A block condition number above 1e12 raises ConditioningError:
+    the answer is refused rather than regularised.
     """
 
     def __init__(self, idx: AnisotropicIndex, region: RegionMask):
@@ -113,9 +117,11 @@ class PlusNormSolver:
         diff = np.zeros((self.free.size, self.free.size), dtype=np.intp)
         for c, n in zip(np.unravel_index(self.free, block_shape), block_shape):
             diff = diff * n + (c[:, None] - c[None, :]) % n
-        kernel = np.fft.ifftn(self.w2, axes=self.block_axes).reshape(n_blocks, -1)
-        self.G = kernel[:, diff]
-        ev = np.linalg.eigvalsh(self.G)
+        # w**2 is even in every frequency, so its inverse DFT is real
+        kernel = np.fft.ifftn(self.w2, axes=self.block_axes).real.reshape(n_blocks, -1)
+        gram = kernel[:, diff]
+        del diff  # nf**2 indices, freed before eigh allocates its workspace
+        ev, self.Q = np.linalg.eigh(gram)
         # an empty free set leaves nothing to solve
         self.max_cond = (
             float(np.max(ev[:, -1] / np.maximum(ev[:, 0], 1e-300))) if self.free.size else 1.0
@@ -126,6 +132,7 @@ class PlusNormSolver:
                 f"{_COND_LIMIT:g}; the plus norm is refused",
                 self.max_cond,
             )
+        self.inv_ev = 1.0 / ev[..., None]
 
     def solve(self, u_on_v) -> PlusNormResult:
         lat = self.lattice
@@ -141,7 +148,11 @@ class PlusNormSolver:
         shape, axes = self.w2.shape, self.block_axes
         coeffs = np.fft.fftn(blocks.reshape(shape), axes=axes, norm="ortho")
         m_fix = np.fft.ifftn(self.w2 * coeffs, axes=axes, norm="ortho").reshape(blocks.shape)
-        blocks[:, self.free] = np.linalg.solve(self.G, -m_fix[:, self.free, None])[..., 0]
+        # real and imaginary parts as two real columns, so Q stays real
+        rhs = m_fix[:, self.free]
+        rhs = np.stack((rhs.real, rhs.imag), axis=-1)
+        x = self.Q @ (self.inv_ev * (self.Q.transpose(0, 2, 1) @ rhs))
+        blocks[:, self.free] = -(x[..., 0] + 1j * x[..., 1])
         coeffs = np.fft.fftn(blocks.reshape(shape), axes=axes, norm="ortho")
         energy = float(np.sum(self.w2 * np.abs(coeffs) ** 2))
         w = np.fft.ifftn(blocks.reshape(lat.shape), axes=self.outer_axes, norm="ortho")

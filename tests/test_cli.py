@@ -332,3 +332,57 @@ def test_plus_norm_ill_conditioned_exit_1(capsys, tmp_path):
     assert code == 1
     assert captured.out == ""
     assert "condition number" in captured.err
+
+
+# squared heat (p + |xi|**2)**2 with two proportional Dirichlet conditions:
+# the boundary rows are linearly dependent, so covering fails at every frame
+SQUARED_HEAT_PROPORTIONAL_JSON = {
+    "n": 2,
+    "b": 1,
+    "m": 2,
+    "A": [
+        {"alpha": [0, 0], "beta": 2, "re": 1.0},
+        {"alpha": [2, 0], "beta": 1, "re": 2.0},
+        {"alpha": [0, 2], "beta": 1, "re": 2.0},
+        {"alpha": [4, 0], "beta": 0, "re": 1.0},
+        {"alpha": [0, 4], "beta": 0, "re": 1.0},
+        {"alpha": [2, 2], "beta": 0, "re": 2.0},
+    ],
+    "B": [
+        {"m_j": 0, "coeffs": [{"alpha": [0, 0], "beta": 0, "re": 1.0}]},
+        {"m_j": 0, "coeffs": [{"alpha": [0, 0], "beta": 0, "re": 2.0}]},
+    ],
+}
+
+
+def test_check_parabolic_proportional_dirichlet_fails_covering(capsys, tmp_path):
+    path = tmp_path / "proportional.json"
+    path.write_text(json.dumps(SQUARED_HEAT_PROPORTIONAL_JSON))
+    code, out = run_cli(capsys, ["check-parabolic", str(path), "--samples", "500"])
+    assert code == 1
+    assert json.loads(out)["covering"]["passed"] is False
+
+
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf", "-inf"])
+def test_check_parabolic_refuses_vacuous_tolerance(capsys, tmp_path, tol):
+    # a negative tol would pass the failing covering check above
+    path = tmp_path / "proportional.json"
+    path.write_text(json.dumps(SQUARED_HEAT_PROPORTIONAL_JSON))
+    code = cli.main(["check-parabolic", str(path), "--samples", "500", f"--tol={tol}"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "tol" in captured.err
+
+
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf", "-inf"])
+def test_verify_lemma71_refuses_vacuous_tolerance(capsys, tol):
+    # tol = inf would pass any finite deviation
+    code = cli.main(
+        ["verify-lemma71", "--s0", "0", "--s", "1", "--s1", "2",
+         "--lattice", "8x8x8", "--trials", "2", f"--tol={tol}"]
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "--tol" in captured.err

@@ -334,6 +334,15 @@ def test_covering_argument_checks():
         pb.covering_check(A, [dirichlet_symbol()], [])
 
 
+@pytest.mark.parametrize("tol", [-1.0, -math.inf, math.inf, math.nan])
+def test_covering_refuses_vacuous_tolerance(tol):
+    # smin > tol * max_mag holds for any frame at tol < 0 and fails at nan
+    frames = pb.random_frames(5, 2, seed=4)
+    with pytest.raises(ValueError, match="tol"):
+        pb.covering_check(heat_symbol(), [dirichlet_symbol()], frames, tol=tol)
+    assert pb.covering_check(heat_symbol(), [dirichlet_symbol()], frames, tol=0.0).passed
+
+
 def test_frame_validation():
     with pytest.raises(ValueError):
         pb.BoundaryFrame(nu=[0.0, 2.0], xi_tan=[1.0, 0.0], p=1.0)

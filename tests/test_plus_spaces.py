@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import oracle_plus_norm, scattered_16x32
 from hormspace import class_m as cm
@@ -105,6 +107,89 @@ def test_conditioning_just_below_the_limit_matches_oracle():
     solver = ps.PlusNormSolver(idx, region)
     assert 1e11 < solver.max_cond <= ps._COND_LIMIT
     assert solver.solve(u).norm == pytest.approx(oracle_plus_norm(u, idx, region), rel=1e-8)
+
+
+def _region(kind, seed, n_t=16):
+    """A k=1 time-window slab or a seeded 30% scattered region in t >= 0."""
+    lat = sp.Lattice(k=1, n_x=8, n_t=n_t, L_x=2 * math.pi, L_t=2 * math.pi)
+    if kind == "slab":
+        return ps.time_window_region(lat, 0.0, lat.L_t / 4)
+    tn = np.broadcast_to(lat.t_axis() >= 0, lat.shape).copy()
+    v = (np.random.default_rng(seed).random(lat.shape) < 0.3) & tn
+    v[0, n_t // 2 + 1] = True  # never an empty V
+    return ps.RegionMask(lat, v, tn)
+
+
+def _data(region, rng):
+    shape = region.lattice.shape
+    return np.where(region.v_mask, rng.standard_normal(shape) + 1j * rng.standard_normal(shape), 0)
+
+
+@pytest.mark.parametrize("kind", ["slab", "scattered"])
+def test_reused_solver_matches_fresh_solver_bitwise(kind):
+    # the factorization kept from setup must not drift across solves
+    region = _region(kind, 11)
+    idx = sp.AnisotropicIndex(1.7, 0.5, cm.log_power([1]))
+    solver = ps.PlusNormSolver(idx, region)
+    rng = np.random.default_rng(12)
+    for _ in range(20):
+        u = _data(region, rng)
+        reused = solver.solve(u)
+        fresh = ps.PlusNormSolver(idx, region).solve(u)
+        assert reused.norm == fresh.norm
+        assert np.array_equal(reused.extension.samples, fresh.extension.samples)
+
+
+@pytest.mark.parametrize("kind", ["slab", "scattered"])
+def test_imaginary_data_gives_imaginary_extension(kind):
+    # the real and imaginary parts are solved as two real columns
+    region = _region(kind, 13)
+    solver = ps.PlusNormSolver(sp.AnisotropicIndex(1.3, 0.5), region)
+    u = _data(region, np.random.default_rng(14)).real
+    ext = solver.solve(u).extension.samples
+    ext_i = solver.solve(1j * u).extension.samples
+    assert np.max(np.abs(ext.imag)) <= 1e-12 * np.max(np.abs(ext))
+    assert np.array_equal(ext_i, 1j * ext)
+
+
+_property_cases = given(
+    kind=st.sampled_from(["slab", "scattered"]),
+    seed=st.integers(0, 2**16),
+    s=st.floats(0.5, 3.0),
+    n_t=st.sampled_from([8, 16]),
+)
+
+
+@settings(max_examples=25, deadline=None)
+@_property_cases
+def test_plus_norm_dominates_unconstrained_norm(kind, seed, s, n_t):
+    region = _region(kind, seed, n_t)
+    u = _data(region, np.random.default_rng(seed))
+    idx = sp.AnisotropicIndex(s, 0.5)
+    free = ps.RegionMask(region.lattice, region.v_mask, np.ones(region.lattice.shape, bool))
+    assert ps.plus_norm(u, idx, region).norm >= ps.plus_norm(u, idx, free).norm * (1 - 1e-12)
+
+
+@settings(max_examples=25, deadline=None)
+@_property_cases
+def test_plus_norm_is_hnorm_of_its_extension(kind, seed, s, n_t):
+    region = _region(kind, seed, n_t)
+    idx = sp.AnisotropicIndex(s, 0.5)
+    res = ps.plus_norm(_data(region, np.random.default_rng(seed)), idx, region)
+    assert res.norm == pytest.approx(sp.hnorm(res.extension, idx), rel=1e-10)
+
+
+@settings(max_examples=25, deadline=None)
+@_property_cases
+def test_extension_is_linear_in_the_data(kind, seed, s, n_t):
+    region = _region(kind, seed, n_t)
+    solver = ps.PlusNormSolver(sp.AnisotropicIndex(s, 0.5), region)
+    rng = np.random.default_rng(seed)
+    u, v = _data(region, rng), _data(region, rng)
+    a, b = 0.7 - 1.3j, -2.1 + 0.4j
+    got = solver.solve(a * u + b * v).extension.samples
+    want = a * solver.solve(u).extension.samples + b * solver.solve(v).extension.samples
+    assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
 
 def test_norm_axioms(small_lattice):
