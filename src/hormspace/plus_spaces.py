@@ -91,17 +91,20 @@ class PlusNormSolver:
     first transformed along the spatial axes and splits into one block of
     shape (n_t,) per spatial mode; any other region is one block of shape
     lattice.shape.  The blocks are real symmetric: setup decomposes each
-    once, G = Q diag(ev) Q^T, keeps Q and 1/ev (not G), and `solve` then
-    handles any finite data vector on V with two batched real matrix
-    products.  A block condition number above 1e12 raises ConditioningError:
-    the answer is refused rather than regularised.
+    once, G = Q diag(ev) Q^T, keeps Q and 1/ev (not G), and every solve then
+    takes two batched real matrix products.  `solve` is `_expand` (the
+    checked data on V, zero elsewhere), the outer transform along the
+    spatial axes of a slab, `_minimise` (the block solve and the energy) and
+    the inverse outer transform of the extension.  Data of a slab that is
+    already in spatial modes, where only the norm is needed, goes through
+    `_expand` and `_minimise` alone.  A block condition number above 1e12
+    raises ConditioningError: the answer is refused rather than regularised.
     """
 
     def __init__(self, idx: AnisotropicIndex, region: RegionMask):
         self.idx = idx
         self.region = region
         self.lattice = lat = region.lattice
-        self.fixed_mask = region.v_mask | ~region.t_nonneg_mask
         self.free_mask = region.t_nonneg_mask & ~region.v_mask
         self.forced_zero = region.v_mask & ~region.t_nonneg_mask
         self.slab = _is_time_slab(region.v_mask, lat.n_t) and _is_time_slab(
@@ -135,16 +138,16 @@ class PlusNormSolver:
         self.inv_ev = 1.0 / ev[..., None]
 
     def solve(self, u_on_v) -> PlusNormResult:
-        lat = self.lattice
-        u_full = self._expand(u_on_v)
-        if np.any(u_full[self.forced_zero] != 0):
-            n_bad = int(np.count_nonzero(u_full[self.forced_zero]))
-            raise InfeasibleConstraintError(
-                f"{n_bad} points of V lie outside the t >= 0 window but carry "
-                "nonzero data; no supported extension exists"
-            )
-        w_fix = np.where(self.fixed_mask, u_full, 0.0)
-        blocks = np.fft.fftn(w_fix, axes=self.outer_axes, norm="ortho").reshape(len(self.w2), -1)
+        w = np.fft.fftn(self._expand(u_on_v), axes=self.outer_axes, norm="ortho")
+        norm = self._minimise(w)
+        w = np.fft.ifftn(w, axes=self.outer_axes, norm="ortho")
+        return PlusNormResult(norm, GridFunction(self.lattice, w))
+
+    def _minimise(self, w: np.ndarray) -> float:
+        """Plus norm of the data w, given on the lattice after the outer
+        transform and zero on the free set.  The minimiser's values are
+        written into the free set of w in place."""
+        blocks = w.reshape(len(self.w2), -1)
         shape, axes = self.w2.shape, self.block_axes
         coeffs = np.fft.fftn(blocks.reshape(shape), axes=axes, norm="ortho")
         m_fix = np.fft.ifftn(self.w2 * coeffs, axes=axes, norm="ortho").reshape(blocks.shape)
@@ -155,18 +158,17 @@ class PlusNormSolver:
         blocks[:, self.free] = -(x[..., 0] + 1j * x[..., 1])
         coeffs = np.fft.fftn(blocks.reshape(shape), axes=axes, norm="ortho")
         energy = float(np.sum(self.w2 * np.abs(coeffs) ** 2))
-        w = np.fft.ifftn(blocks.reshape(lat.shape), axes=self.outer_axes, norm="ortho")
-        norm = math.sqrt(max(energy, 0.0) * lat.cell_volume)
-        return PlusNormResult(norm, GridFunction(lat, w))
+        return math.sqrt(max(energy, 0.0) * self.lattice.cell_volume)
 
     def _expand(self, u_on_v) -> np.ndarray:
+        """The data on V as a lattice array that is zero off V.  Refuses
+        non-finite data and nonzero data on V outside the t >= 0 window."""
         lat = self.lattice
         arr = np.asarray(u_on_v, dtype=complex)
         if not np.all(np.isfinite(arr)):
             raise ValueError("data must be finite")
-        full = np.zeros(lat.shape, dtype=complex)
         if arr.shape == lat.shape:
-            full[self.region.v_mask] = arr[self.region.v_mask]
+            full = np.where(self.region.v_mask, arr, 0.0)
         else:
             nnz = int(np.count_nonzero(self.region.v_mask))
             if arr.ndim != 1 or arr.size != nnz:
@@ -174,7 +176,14 @@ class PlusNormSolver:
                     f"data must be the full grid or a vector of length {nnz} "
                     "(C-order of v_mask)"
                 )
+            full = np.zeros(lat.shape, dtype=complex)
             full[self.region.v_mask] = arr
+        if np.any(full[self.forced_zero] != 0):
+            n_bad = int(np.count_nonzero(full[self.forced_zero]))
+            raise InfeasibleConstraintError(
+                f"{n_bad} points of V lie outside the t >= 0 window but carry "
+                "nonzero data; no supported extension exists"
+            )
         return full
 
 

@@ -185,10 +185,16 @@ def _weighted_coeffs(w: np.ndarray, samples: np.ndarray) -> np.ndarray:
     return w * np.abs(np.fft.fftn(samples, norm="ortho"))
 
 
+def _parseval_norm(weighted: np.ndarray, lattice: Lattice) -> float:
+    """(sum weighted**2 cell_volume)**(1/2) for weighted = w |coeff| over the
+    unitary DFT coefficients of a grid function on the lattice."""
+    return float(np.sqrt(np.sum(weighted**2) * lattice.cell_volume))
+
+
 def _weighted_norm(g: GridFunction, w: np.ndarray) -> float:
     """(sum (w |coeff|)**2 cell_volume)**(1/2), the norm behind hnorm and
     the interpolation norms."""
-    return float(np.sqrt(np.sum(_weighted_coeffs(w, g.samples) ** 2) * g.lattice.cell_volume))
+    return _parseval_norm(_weighted_coeffs(w, g.samples), g.lattice)
 
 
 def hnorm(g: GridFunction, idx: AnisotropicIndex) -> float:

@@ -286,6 +286,19 @@ def test_every_public_function_is_reached_by_a_command(
     assert not missing, f"public functions no command reaches: {missing}"
 
 
+@pytest.mark.parametrize("levels", ["0", "-1"])
+def test_model_verify_refuses_empty_ladder(capsys, heat_file, levels):
+    # an empty ladder flagged nothing and the report passed vacuously
+    code = cli.main(
+        ["model-verify", heat_file, "--sigma", "4", "--ensemble", "2",
+         "--lattice", "8x8x16", "--levels", levels]
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "levels" in captured.err
+
+
 @pytest.mark.parametrize("trials", ["0", "-3"])
 def test_verify_lemma71_refuses_trial_count_below_one(capsys, trials):
     # zero trials computed no ratio and reported a vacuous pass

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from conftest import backward_heat_symbol, heat_symbol, squared_heat_symbol
 from hormspace import class_m as cm
 from hormspace import model_problem as mp
+from hormspace import plus_spaces as ps
 from hormspace import spectra as sp
 from hormspace.errors import StabilityError
 
@@ -211,3 +213,134 @@ def test_synthesized_forcing_is_lattice_consistent(heat_op):
     fc = mp.synthesize_forcing(coarse, heat_op.tau, seed=9)
     ff = mp.synthesize_forcing(fine, heat_op.tau, seed=9)
     assert np.max(np.abs(ff.samples[::2, ::2, ::2] - fc.samples)) < 1e-12
+
+
+def _heat_op(k):
+    return mp.PeriodicParabolicOperator(
+        symbol=heat_symbol(k), L_x=2 * math.pi, tau=math.pi / 2
+    )
+
+
+def _ratio_by_public_steps(op, f, sigma, phi):
+    """One member's ratio through solve_periodic, PlusNormSolver.solve and hnorm."""
+    lat = f.lattice
+    order = 2 * op.symbol.m
+    gamma = 1.0 / (2.0 * op.symbol.b)
+    idx_u = sp.AnisotropicIndex(sigma, gamma, phi)
+    idx_f = sp.AnisotropicIndex(sigma - order, gamma, phi)
+    solver = ps.PlusNormSolver(idx_u, ps.time_window_region(lat, 0.0, op.tau))
+    u = mp.solve_periodic(op, f)
+    return solver.solve(u.samples).norm / sp.hnorm(f, idx_f)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("phi", [cm.constant_one(), cm.log_power([1])], ids=["one", "log1"])
+def test_two_sided_ratio_matches_public_steps(k, phi):
+    # the ratio is taken in spatial modes; the public functions go through
+    # physical space, which is the same arithmetic up to rounding
+    op = _heat_op(k)
+    lat = sp.Lattice(k=k, n_x=8, n_t=16, L_x=2 * math.pi, L_t=2 * math.pi)
+    for seed in range(5):
+        f = mp.synthesize_forcing(lat, op.tau, seed=seed)
+        c1, c2 = mp.two_sided_ratio(op, [f], 4.0, phi)
+        assert c1 == c2
+        assert c1 == pytest.approx(_ratio_by_public_steps(op, f, 4.0, phi), rel=1e-13)
+    ens = [mp.synthesize_forcing(lat, op.tau, seed=seed) for seed in range(5)]
+    ratios = [_ratio_by_public_steps(op, f, 4.0, phi) for f in ens]
+    c1, c2 = mp.two_sided_ratio(op, ens, 4.0, phi)
+    assert c1 == pytest.approx(min(ratios), rel=1e-13)
+    assert c2 == pytest.approx(max(ratios), rel=1e-13)
+
+
+def test_two_sided_ratio_refuses_growing_mode():
+    op = mp.PeriodicParabolicOperator(
+        symbol=heat_symbol(),
+        L_x=2 * math.pi,
+        tau=math.pi / 2,
+        lower_order={(0, 0): -1.0},
+    )
+    lat = _lattice()
+    f = mp.synthesize_forcing(lat, op.tau, seed=1)
+    with pytest.raises(StabilityError) as info:
+        mp.two_sided_ratio(op, [f], 4.0)
+    assert info.value.lam == pytest.approx(-1.0)
+
+
+def test_two_sided_ratio_refuses_forcing_before_zero(heat_op):
+    lat = _lattice()
+    good = mp.synthesize_forcing(lat, heat_op.tau, seed=1)
+    bad = sp.GridFunction(lat, np.ones(lat.shape))  # nonzero at t < 0
+    with pytest.raises(ValueError, match="not supported"):
+        mp.two_sided_ratio(heat_op, [good, bad], 4.0)
+
+
+def test_two_sided_ratio_transform_passes_per_member(heat_op, monkeypatch):
+    # per member: the spatial transform of f, the time transform for its
+    # norm, and the three block passes of the plus norm; no inverse
+    # transform over a spatial axis (the solution stays in spatial modes)
+    passes = []
+
+    def counting(name, fn):
+        def wrapper(a, *args, axis=-1, axes=None, **kwargs):
+            a = np.asarray(a)
+            if name.endswith("n"):
+                n_axes = range(a.ndim) if axes is None else axes
+                axes_seen = [ax % a.ndim for ax in n_axes]
+                passes.append((name, a.ndim, axes_seen))
+                return fn(a, *args, axes=axes, **kwargs)
+            passes.append((name, a.ndim, [axis % a.ndim]))
+            return fn(a, *args, axis=axis, **kwargs)
+
+        return wrapper
+
+    for name in ("fft", "ifft", "fftn", "ifftn"):
+        monkeypatch.setattr(np.fft, name, counting(name, getattr(np.fft, name)))
+    lat = _lattice(8, 16)
+    ens = [mp.synthesize_forcing(lat, heat_op.tau, seed=i) for i in range(3)]
+    counts = []
+    for size in (1, 3):
+        passes.clear()
+        mp.two_sided_ratio(heat_op, ens[:size], 4.0)
+        counts.append(list(passes))
+    per_member = counts[1][len(counts[0]):]
+    assert len(per_member) % 2 == 0
+    n_axis_passes = sum(len(axes) for _, _, axes in per_member) // 2
+    assert n_axis_passes <= 6
+    for name, ndim, axes in per_member:
+        if name.startswith("i"):
+            assert axes == [ndim - 1], (name, ndim, axes)
+
+
+def _synthesize_forcing_loop(lattice, tau, seed):
+    """The per-mode loop synthesize_forcing replaced, kept as its reference."""
+    rng = np.random.default_rng(seed)
+    k = lattice.k
+    band = 2
+    width = 2 * band + 1
+    coeff = rng.standard_normal((width,) * (k + 1)) + 1j * rng.standard_normal(
+        (width,) * (k + 1)
+    )
+    bins = np.zeros(lattice.shape, dtype=complex)
+    for modes in itertools.product(range(-band, band + 1), repeat=k + 1):
+        pos = tuple(m % n for m, n in zip(modes, lattice.shape))
+        bins[pos] = coeff[tuple(m + band for m in modes)] * (-1) ** modes[-1]
+    field = np.fft.ifftn(bins, norm="ortho") * math.sqrt(lattice.size)
+    return field * (mp._time_bump(lattice, tau) * 54.6)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("n_x,n_t", [(2, 4), (4, 2), (4, 8), (8, 16)])
+def test_synthesize_forcing_matches_loop_bytes(k, n_x, n_t):
+    # n = 2 and n = 4 alias modes +-2 (and +-1 at n = 2); the last write wins
+    lat = sp.Lattice(k=k, n_x=n_x, n_t=n_t, L_x=2 * math.pi, L_t=2 * math.pi)
+    for seed in (0, 5):
+        got = mp.synthesize_forcing(lat, 1.0, seed).samples
+        want = _synthesize_forcing_loop(lat, 1.0, seed)
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("levels", [0, -1])
+def test_inheritance_refuses_empty_ladder(heat_op, levels):
+    with pytest.raises(ValueError, match="levels"):
+        mp.regularity_inheritance_check(heat_op, _lattice(), 4.0, levels=levels)
+
