@@ -55,6 +55,8 @@ class PhiFunction:
         if self.kind not in ("constant_one", "log_power"):
             raise ValueError(f"unknown kind {self.kind!r}")
         object.__setattr__(self, "exponents", tuple(float(q) for q in self.exponents))
+        if not all(map(math.isfinite, self.exponents + (float(self.cutoff),))):
+            raise ValueError("phi exponents and cutoff must be finite")
         if self.kind == "constant_one":
             if self.exponents:
                 raise ValueError("constant_one takes no exponents")
@@ -89,7 +91,7 @@ class PhiFunction:
         if kind == "constant_one":
             return constant_one()
         return PhiFunction(
-            kind="log_power",
+            kind=kind,
             exponents=tuple(d.get("exponents", ())),
             cutoff=float(d.get("cutoff", 0.0) or 0.0),
         )
@@ -168,16 +170,17 @@ def slow_variation_defect(phi: PhiFunction, lam: float, r_values) -> np.ndarray:
     return np.abs(eval_phi(phi, lam * r) / eval_phi(phi, r) - 1.0)
 
 
-def epsilon_bound_constant(
-    phi: PhiFunction, eps: float, r_max: float, n_samples: int = 2048
-) -> float:
+_EPS_SAMPLES = 2048
+
+
+def epsilon_bound_constant(phi: PhiFunction, eps: float, r_max: float) -> float:
     """Smallest c >= 1 with c**-1 * r**-eps <= phi(r) <= c * r**eps on a
     geometric sample of [1, r_max]."""
     if eps <= 0:
         raise ValueError("eps must be positive")
     if r_max < 1.0:
         raise ValueError("r_max must be >= 1")
-    r = np.geomspace(1.0, max(r_max, 1.0 + 1e-15), num=n_samples)
+    r = np.geomspace(1.0, max(r_max, 1.0 + 1e-15), num=_EPS_SAMPLES)
     vals = eval_phi(phi, r)
     grow = r**eps
     c = max(1.0, float(np.max(vals / grow)), float(np.max(1.0 / (vals * grow))))

@@ -12,7 +12,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,18 +19,7 @@ from . import class_m, embedding, gridio, interpolation, model_problem, paraboli
 from . import plus_spaces, spectra
 from .errors import HormspaceError
 
-__all__ = ["RunConfig", "run", "main"]
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Parsed invocation: the command plus its argparse namespace."""
-
-    command: str
-    options: dict = field(default_factory=dict)
-
-    def opt(self, name, default=None):
-        return self.options.get(name, default)
+__all__ = ["run", "main"]
 
 
 # -- deterministic JSON serialization ----------------------------------------
@@ -65,11 +53,43 @@ def dumps_report(obj) -> str:
 
 # -- input parsing helpers ----------------------------------------------------
 
+# JSON layouts of the input files: a type (a tuple of types for a number), a
+# one-item list for a list of that layout, or a dict of keys; a key that is
+# absent is reported where it is read
+_NUMBER = (int, float)
+_PHI = {"kind": str, "exponents": [_NUMBER], "cutoff": _NUMBER}
+_COEFF = {"alpha": [int], "beta": int, "re": _NUMBER, "im": _NUMBER}
+_OPERATOR = {
+    "n": int, "b": int, "m": int, "A": [_COEFF],
+    "B": [{"m_j": int, "coeffs": [_COEFF]}],
+    "frames": [{"nu": [_NUMBER], "xi_tan": [_NUMBER], "p": [_NUMBER]}],
+}
+_GRID = {"k": int, "n_x": int, "n_t": int, "L_x": _NUMBER, "L_t": _NUMBER,
+         "re": [_NUMBER], "im": [_NUMBER]}
+
+
+def _checked(value, layout, what: str):
+    """value, once it has the JSON layout; ValueError where it departs."""
+    if isinstance(layout, dict):
+        if not isinstance(value, dict):
+            raise ValueError(f"{what} must be a JSON object")
+        for key in layout.keys() & value.keys():
+            _checked(value[key], layout[key], f"{what} field {key}")
+    elif isinstance(layout, list):
+        if not isinstance(value, list):
+            raise ValueError(f"{what} must be a list")
+        for item in value:
+            _checked(item, layout[0], what)
+    # type(), not isinstance(): JSON true and false are no numbers
+    elif type(value) not in (layout if isinstance(layout, tuple) else (layout,)):
+        raise ValueError(f"{what} has the wrong type: {value!r}")
+    return value
+
 
 def _parse_phi(text: str) -> class_m.PhiFunction:
     if text.strip() in ("1", "one", "constant", "constant_one"):
         return class_m.constant_one()
-    return class_m.PhiFunction.from_json_dict(json.loads(text))
+    return class_m.PhiFunction.from_json_dict(_checked(json.loads(text), _PHI, "phi"))
 
 
 def _parse_lattice(text: str, L_x: float, L_t: float) -> spectra.Lattice:
@@ -91,15 +111,20 @@ def _load_coeffs(entries) -> dict:
     return coeffs
 
 
-def _load_symbol(d: dict) -> parabolicity.PrincipalSymbol:
+def _load_operator(path: str) -> tuple[dict, parabolicity.PrincipalSymbol]:
+    """The operator file's JSON object and its interior symbol."""
+    with open(path, "r", encoding="utf-8") as fh:
+        d = _checked(json.load(fh), _OPERATOR, "operator file")
     coeffs = _load_coeffs(d["A"])
-    return parabolicity.PrincipalSymbol(n=d["n"], b=d["b"], m=d["m"], coeffs=coeffs)
+    return d, parabolicity.PrincipalSymbol(n=d["n"], b=d["b"], m=d["m"], coeffs=coeffs)
 
 
 def _load_frames(entries) -> list[parabolicity.BoundaryFrame]:
     frames = []
     for e in entries:
         p = e["p"]
+        if len(p) != 2:
+            raise ValueError(f"frame p must be [re, im], got {p!r}")
         frames.append(
             parabolicity.BoundaryFrame(
                 nu=np.asarray(e["nu"], dtype=float),
@@ -113,23 +138,22 @@ def _load_frames(entries) -> list[parabolicity.BoundaryFrame]:
 def _load_grid_file(path: str):
     if str(path).endswith(".json"):
         with open(path, "r", encoding="utf-8") as fh:
-            return gridio.grid_from_json(fh.read()), None
+            text = fh.read()
+        _checked(json.loads(text), _GRID, "grid file")
+        return gridio.grid_from_json(text), None
     return gridio.load_grid(path)
 
 
 # -- commands ------------------------------------------------------------------
 
 
-def _cmd_sigma0(cfg: RunConfig) -> tuple[dict, int]:
-    value = parabolicity.sigma0(cfg.opt("m"), cfg.opt("b"), cfg.opt("orders") or [])
-    return {"sigma0": value}, 0
+def _cmd_sigma0(args) -> tuple[dict, int]:
+    return {"sigma0": parabolicity.sigma0(args.m, args.b, args.orders)}, 0
 
 
-def _cmd_check_parabolic(cfg: RunConfig) -> tuple[dict, int]:
-    with open(cfg.opt("operator"), "r", encoding="utf-8") as fh:
-        spec = json.load(fh)
-    A = _load_symbol(spec)
-    verdict = parabolicity.petrovskii_check(A, cfg.opt("samples", 10000))
+def _cmd_check_parabolic(args) -> tuple[dict, int]:
+    spec, A = _load_operator(args.operator)
+    verdict = parabolicity.petrovskii_check(A, args.samples)
     report = {"petrovskii": verdict.to_json_dict()}
     passed = verdict.passed
     if spec.get("B"):
@@ -142,10 +166,8 @@ def _cmd_check_parabolic(cfg: RunConfig) -> tuple[dict, int]:
         if spec.get("frames"):
             frames = _load_frames(spec["frames"])
         else:
-            frames = parabolicity.random_frames(
-                cfg.opt("frames", 50), A.n, cfg.opt("seed", 0)
-            )
-        cov = parabolicity.covering_check(A, Bs, frames, tol=cfg.opt("tol", 1e-8))
+            frames = parabolicity.random_frames(args.frames, A.n, args.seed)
+        cov = parabolicity.covering_check(A, Bs, frames, tol=args.tol)
         report["covering"] = cov.to_json_dict()
         report["sigma0"] = parabolicity.sigma0(A.m, A.b, [B.m_j for B in Bs])
         passed = passed and cov.passed
@@ -153,10 +175,10 @@ def _cmd_check_parabolic(cfg: RunConfig) -> tuple[dict, int]:
     return report, 0 if passed else 1
 
 
-def _cmd_norm(cfg: RunConfig) -> tuple[dict, int]:
-    g, _region = _load_grid_file(cfg.opt("grid"))
-    phi = _parse_phi(cfg.opt("phi", "1"))
-    idx = spectra.AnisotropicIndex(cfg.opt("s"), cfg.opt("gamma"), phi)
+def _cmd_norm(args) -> tuple[dict, int]:
+    g, _region = _load_grid_file(args.grid)
+    phi = _parse_phi(args.phi)
+    idx = spectra.AnisotropicIndex(args.s, args.gamma, phi)
     field_ = spectra.dft(g)
     back = spectra.idft(field_)
     rt = float(
@@ -175,9 +197,8 @@ def _cmd_norm(cfg: RunConfig) -> tuple[dict, int]:
         "weight_at_origin": class_m.eval_phi(idx.phi, 1.0),
         "r_gamma_max": float(np.max(spectra.r_gamma_array(g.lattice, idx.gamma))),
     }
-    window = cfg.opt("embed_window")
-    if window:
-        s0, s1 = window
+    if args.embed_window:
+        s0, s1 = args.embed_window
         c_low, c_high = spectra.embedding_constants(
             spectra.AnisotropicIndex(s0, idx.gamma, phi),
             idx,
@@ -188,30 +209,28 @@ def _cmd_norm(cfg: RunConfig) -> tuple[dict, int]:
     return report, 0
 
 
-def _cmd_verify_lemma71(cfg: RunConfig) -> tuple[dict, int]:
-    lat = _parse_lattice(cfg.opt("lattice", "16x16x16"), cfg.opt("L_x"), cfg.opt("L_t"))
-    phi = _parse_phi(cfg.opt("phi", "1"))
-    s0, s, s1 = cfg.opt("s0"), cfg.opt("s"), cfg.opt("s1")
-    gamma = cfg.opt("gamma")
-    tol = cfg.opt("tol", 1e-10)
-    trials = cfg.opt("trials", 8)
-    if trials < 1:
-        raise ValueError(f"--trials must be at least 1, got {trials}")
+def _cmd_verify_lemma71(args) -> tuple[dict, int]:
+    lat = _parse_lattice(args.lattice, args.L_x, args.L_t)
+    phi = _parse_phi(args.phi)
+    s0, s, s1 = args.s0, args.s, args.s1
+    tol = args.tol
+    if args.trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {args.trials}")
     if not 0.0 <= tol < math.inf:
         raise ValueError(f"--tol must be finite and nonnegative, got {tol}")
     deviations = []
-    for trial in range(trials):
-        g = spectra.random_grid(lat, cfg.opt("seed", 0) + trial)
-        ratio = interpolation.verify_lemma71(g, s0, s, s1, gamma, phi)
+    for trial in range(args.trials):
+        g = spectra.random_grid(lat, args.seed + trial)
+        ratio = interpolation.verify_lemma71(g, s0, s, s1, args.gamma, phi)
         deviations.append(abs(ratio - 1.0))
     # np.max propagates a nan deviation, where max(0.0, nan) would drop it
     worst = float(np.max(deviations, initial=0.0))
     p = interpolation.build_psi(s0, s, s1, phi)
     ladder = np.geomspace(1e3, 1e12, 10)
     rv = interpolation.regular_variation_index(p, ladder)
-    pair = interpolation.sobolev_pair(lat, s0, s1, gamma)
+    pair = interpolation.sobolev_pair(lat, s0, s1, args.gamma)
     mult_min = float(np.min(interpolation.generating_operator(pair)))
-    gs = [spectra.random_grid(lat, cfg.opt("seed", 0) + 100 + i) for i in range(3)]
+    gs = [spectra.random_grid(lat, args.seed + 100 + i) for i in range(3)]
     lhs, rhs = interpolation.direct_sum_interp_check([pair] * 3, gs, p)
     passed = worst <= tol and abs(lhs - rhs) <= 1e-12 * max(rhs, 1e-300)
     report = {
@@ -227,26 +246,24 @@ def _cmd_verify_lemma71(cfg: RunConfig) -> tuple[dict, int]:
     return report, 0 if passed else 1
 
 
-def _cmd_plus_norm(cfg: RunConfig) -> tuple[dict, int]:
-    g, region = _load_grid_file(cfg.opt("grid"))
-    phi = _parse_phi(cfg.opt("phi", "1"))
-    idx = spectra.AnisotropicIndex(cfg.opt("s"), cfg.opt("gamma"), phi)
+def _cmd_plus_norm(args) -> tuple[dict, int]:
+    g, region = _load_grid_file(args.grid)
+    phi = _parse_phi(args.phi)
+    idx = spectra.AnisotropicIndex(args.s, args.gamma, phi)
     if region is None:
-        window = cfg.opt("v_window")
-        if window is None:
+        if args.v_window is None:
             raise ValueError("grid carries no region; pass --v-window T0 T1")
-        region = plus_spaces.time_window_region(g.lattice, window[0], window[1])
+        region = plus_spaces.time_window_region(g.lattice, *args.v_window)
     result = plus_spaces.plus_norm(g.samples, idx, region)
     report = {
         "plus_norm": result.norm,
         "extension_hnorm": spectra.hnorm(result.extension, idx),
         "trace_defect": plus_spaces.trace_defect(g, idx.gamma, idx.s),
     }
-    if cfg.opt("lemma51"):
+    if args.lemma51:
         report["lemma51_ratio"] = plus_spaces.lemma51_equivalence_ratio(g, idx, region)
-    interp = cfg.opt("interp")
-    if interp:
-        s0, s, s1 = interp
+    if args.interp:
+        s0, s, s1 = args.interp
         supported = np.where(region.t_nonneg_mask, g.samples, 0.0)
         lhs, rhs = interpolation.interp_subspace_norm(
             spectra.GridFunction(g.lattice, supported), region, s0, s, s1, idx.gamma, phi
@@ -255,17 +272,13 @@ def _cmd_plus_norm(cfg: RunConfig) -> tuple[dict, int]:
     return report, 0
 
 
-def _cmd_model_verify(cfg: RunConfig) -> tuple[dict, int]:
-    with open(cfg.opt("operator"), "r", encoding="utf-8") as fh:
-        spec = json.load(fh)
-    A = _load_symbol(spec)
-    lat = _parse_lattice(cfg.opt("lattice", "16x16x32"), cfg.opt("L_x"), cfg.opt("L_t"))
-    tau = cfg.opt("tau_frac", 0.25) * lat.L_t
+def _cmd_model_verify(args) -> tuple[dict, int]:
+    _spec, A = _load_operator(args.operator)
+    lat = _parse_lattice(args.lattice, args.L_x, args.L_t)
+    tau = args.tau_frac * lat.L_t
     op = model_problem.PeriodicParabolicOperator(symbol=A, L_x=lat.L_x, tau=tau)
-    phi = _parse_phi(cfg.opt("phi", "1"))
-    sigma = cfg.opt("sigma")
-    seed = cfg.opt("seed", 0)
-    n_ens = cfg.opt("ensemble", 20)
+    phi = _parse_phi(args.phi)
+    sigma, seed, n_ens = args.sigma, args.seed, args.ensemble
     ensemble = [
         model_problem.synthesize_forcing(lat, tau, seed + i) for i in range(n_ens)
     ]
@@ -278,7 +291,7 @@ def _cmd_model_verify(cfg: RunConfig) -> tuple[dict, int]:
         "roundtrip_residual": resid,
     }
     passed = math.isfinite(c1) and math.isfinite(c2) and c1 > 0
-    if cfg.opt("refine", 0) > 0:
+    if args.refine > 0:
         lat2 = lat.refine(2, 2)
         ensemble2 = [
             model_problem.synthesize_forcing(lat2, tau, seed + i) for i in range(n_ens)
@@ -288,22 +301,22 @@ def _cmd_model_verify(cfg: RunConfig) -> tuple[dict, int]:
         report["refined"] = {"c1_hat": c1r, "c2_hat": c2r, "spread_change": change}
         passed = passed and 0.5 < change < 2.0
     ladder = model_problem.regularity_inheritance_check(
-        op, lat, sigma, phi, levels=cfg.opt("levels", 2), seed=seed
+        op, lat, sigma, phi, levels=args.levels, seed=seed
     )
     report["ladder"] = ladder.to_json_dict()
     report["passed"] = passed and not ladder.flagged
     return report, 0 if report["passed"] else 1
 
 
-def _cmd_embed_check(cfg: RunConfig) -> tuple[dict, int]:
-    phi = _parse_phi(cfg.opt("phi", "1"))
-    p = cfg.opt("p", 0)
-    b = cfg.opt("b", 1)
-    n = cfg.opt("n", 2)
+def _cmd_embed_check(args) -> tuple[dict, int]:
+    phi = _parse_phi(args.phi)
+    p, b, n = args.p, args.b, args.n
+    if p < 0 or b < 1 or n < 1:
+        raise ValueError(f"need --p >= 0, --b >= 1 and --n >= 1, got {p}, {b}, {n}")
     gamma = 1.0 / (2.0 * b)
     s = p + b + n / 2.0
     verdict = embedding.criterion_verdict(phi)
-    r_values = cfg.opt("r_values") or [1e3, 1e6, 1e9, 1e12]
+    r_values = args.r_values
     partials = [embedding.criterion_partial(phi, R) for R in r_values]
     defects = class_m.slow_variation_defect(phi, 2.0, r_values)
     report = {
@@ -314,7 +327,7 @@ def _cmd_embed_check(cfg: RunConfig) -> tuple[dict, int]:
         "epsilon_bound_constant": class_m.epsilon_bound_constant(phi, 0.5, 1e6),
         "s": s,
     }
-    if cfg.opt("weight_sum"):
+    if args.weight_sum:
         lat = spectra.Lattice(k=n, n_x=16, n_t=16, L_x=2 * math.pi, L_t=2 * math.pi)
         report["weight_sums"] = {
             "base": embedding.derivative_weight_sum(lat, s, gamma, phi, (0,) * n, 0),
@@ -322,13 +335,13 @@ def _cmd_embed_check(cfg: RunConfig) -> tuple[dict, int]:
                 lat.refine(2, 2), s, gamma, phi, (0,) * n, 0
             ),
         }
-    if cfg.opt("radial"):
+    if args.radial:
         rows = []
         for R in (10.0, 30.0, 100.0):
             res = embedding.radial_reduction_check(s, gamma, phi, (0,) * n, 0, R)
             rows.append({"R": R, **res.to_json_dict()})
         report["radial_reduction"] = rows
-    if cfg.opt("sharpness") and verdict == "diverges":
+    if args.sharpness and verdict == "diverges":
         base = spectra.Lattice(k=n, n_x=8, n_t=8, L_x=2 * math.pi, L_t=2 * math.pi)
         lattices = [base]
         for _ in range(4):
@@ -348,14 +361,10 @@ _HANDLERS = {
 }
 
 
-def run(config: RunConfig) -> int:
-    """Execute one command; report JSON to stdout, diagnostics to stderr."""
-    handler = _HANDLERS.get(config.command)
-    if handler is None:
-        print(f"unknown command: {config.command}", file=sys.stderr)
-        return 2
+def run(args: argparse.Namespace) -> int:
+    """Execute one parsed command; report JSON to stdout, diagnostics to stderr."""
     try:
-        report, code = handler(config)
+        report, code = _HANDLERS[args.command](args)
     except (json.JSONDecodeError, FileNotFoundError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -367,14 +376,10 @@ def run(config: RunConfig) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """One subparser per command, each declaring only the options its
+    handler reads, with each default set here once."""
     ap = argparse.ArgumentParser(prog="hormspace")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def shared(p):
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--L-x", dest="L_x", type=float, default=2 * math.pi)
-        p.add_argument("--L-t", dest="L_t", type=float, default=2 * math.pi)
 
     p = sub.add_parser("sigma0")
     p.add_argument("--m", type=int, required=True)
@@ -385,7 +390,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("operator")
     p.add_argument("--samples", type=int, default=10000)
     p.add_argument("--frames", type=int, default=50)
-    shared(p)
+    p.add_argument("--tol", type=float, default=parabolicity._COVER_TOL)
+    p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("norm")
     p.add_argument("grid")
@@ -393,7 +399,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", type=float, required=True)
     p.add_argument("--phi", default="1")
     p.add_argument("--embed-window", dest="embed_window", type=float, nargs=2)
-    shared(p)
 
     p = sub.add_parser("verify-lemma71")
     p.add_argument("--lattice", default="16x16x16")
@@ -403,7 +408,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", type=float, default=0.5)
     p.add_argument("--phi", default="1")
     p.add_argument("--trials", type=int, default=8)
-    shared(p)
+    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--L-x", dest="L_x", type=float, default=2 * math.pi)
+    p.add_argument("--L-t", dest="L_t", type=float, default=2 * math.pi)
 
     p = sub.add_parser("plus-norm")
     p.add_argument("grid")
@@ -413,7 +421,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--v-window", dest="v_window", type=float, nargs=2)
     p.add_argument("--lemma51", action="store_true")
     p.add_argument("--interp", type=float, nargs=3, metavar=("S0", "S", "S1"))
-    shared(p)
 
     p = sub.add_parser("model-verify")
     p.add_argument("operator")
@@ -424,29 +431,31 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--refine", type=int, default=0)
     p.add_argument("--levels", type=int, default=2)
     p.add_argument("--tau-frac", dest="tau_frac", type=float, default=0.25)
-    shared(p)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--L-x", dest="L_x", type=float, default=2 * math.pi)
+    p.add_argument("--L-t", dest="L_t", type=float, default=2 * math.pi)
 
     p = sub.add_parser("embed-check")
     p.add_argument("--phi", required=True)
     p.add_argument("--p", type=int, default=0)
     p.add_argument("--b", type=int, default=1)
     p.add_argument("--n", type=int, default=2)
-    p.add_argument("--r-values", dest="r_values", type=float, nargs="*")
+    p.add_argument(
+        "--r-values", dest="r_values", type=float, nargs="+", default=[1e3, 1e6, 1e9, 1e12]
+    )
     p.add_argument("--radial", action="store_true")
     p.add_argument("--sharpness", action="store_true")
     p.add_argument("--weight-sum", dest="weight_sum", action="store_true")
-    shared(p)
 
     return ap
 
 
 def main(argv=None) -> int:
     try:
-        ns = _build_parser().parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    options = {k: v for k, v in vars(ns).items() if k != "command" and v is not None}
-    return run(RunConfig(command=ns.command, options=options))
+    return run(args)
 
 
 if __name__ == "__main__":

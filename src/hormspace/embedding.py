@@ -5,9 +5,14 @@ derivatives up to order p is governed by the convergence of
 int_1^inf dr / (r phi(r)**2).  The module provides the closed-form verdict
 for the represented family, quadrature of partial integrals, the lattice
 weight sums whose finiteness drives the embedding, the reduction of those
-sums to a single radial integral (with a calibrated angular constant), and
-a normalized spectral profile demonstrating sharpness when the integral
-diverges.
+sums to a single radial integral (with a constant calibrated over the
+closed-form angular moment), and a normalized spectral profile
+demonstrating sharpness when the integral diverges.
+
+The profile's phases make every term of its derivative's Fourier sum
+nonnegative at the origin, so the derivative's largest modulus is its value
+there.  That value and the profile's weighted norm (by Parseval) are sums
+over the coefficient moduli, so the demo runs no transform.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .class_m import PhiFunction, constant_one, eval_phi, eval_phi_of_exp
-from .spectra import AnisotropicIndex, GridFunction, Lattice, hnorm, r_gamma_array
+from .spectra import AnisotropicIndex, Lattice, _parseval_norm, r_gamma_array, weight_array
 
 __all__ = [
     "criterion_verdict",
@@ -54,10 +59,8 @@ def criterion_verdict(phi: PhiFunction) -> str:
 
 def criterion_partial(phi: PhiFunction, R: float) -> float:
     """int_1^R dr / (r phi(r)**2), computed in the variable u = log r."""
-    if R < 1.0:
-        raise ValueError("R must be >= 1")
-    if R == 1.0:
-        return 0.0
+    if not 1.0 <= R < math.inf:
+        raise ValueError(f"R must be finite and >= 1, got {R}")
     from scipy.integrate import quad
 
     upper = math.log(R)
@@ -136,23 +139,14 @@ def _gauss(a, b, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _angular_moment(alpha: tuple[int, ...]) -> float:
-    """Integral of |omega**alpha|**2 over the unit sphere, by 64-node quadrature."""
-    n = len(alpha)
-    if n == 2:
-        th, w = _gauss(0.0, 2.0 * math.pi, 64)
-        vals = (np.cos(th) ** 2) ** alpha[0] * (np.sin(th) ** 2) ** alpha[1]
-        return float(np.sum(vals * w))
-    if n == 3:
-        th, wt = _gauss(0.0, math.pi, 64)
-        ph, wp = _gauss(0.0, 2.0 * math.pi, 64)
-        TH, PH = np.meshgrid(th, ph, indexing="ij")
-        W = np.outer(wt, wp)
-        ox = np.sin(TH) * np.cos(PH)
-        oy = np.sin(TH) * np.sin(PH)
-        oz = np.cos(TH)
-        vals = (ox**2) ** alpha[0] * (oy**2) ** alpha[1] * (oz**2) ** alpha[2]
-        return float(np.sum(vals * np.sin(TH) * W))
-    raise ValueError("angular quadrature implemented for n = 2 or 3 only")
+    """Integral of |omega**alpha|**2 over the unit sphere S^(n-1), n = len(alpha).
+
+    2 prod_i Gamma(alpha_i + 1/2) / Gamma(|alpha| + n/2) for every n >= 1
+    (integrate prod_i x_i**(2 alpha_i) e**(-|x|**2) over R^n in Cartesian and
+    in polar coordinates), taken in logs so that no factor overflows.
+    """
+    log_numerator = sum(math.lgamma(a + 0.5) for a in alpha)
+    return 2.0 * math.exp(log_numerator - math.lgamma(sum(alpha) + len(alpha) / 2.0))
 
 
 def _lhs_truncated(
@@ -267,6 +261,8 @@ def radial_reduction_check(
         _CALIBRATION_CACHE[cache_key] = c
     lhs = _lhs_truncated(s, gamma, phi, alpha, beta, R)
     rhs = c * tail(phi, R)
+    if not (math.isfinite(lhs) and math.isfinite(rhs)):
+        raise ValueError(f"radial reduction overflows double precision at n = {n}, s = {s}")
     relerr = abs(lhs - rhs) / lhs if lhs != 0 else math.inf
     return RadialReductionResult(lhs, rhs, relerr, c)
 
@@ -294,11 +290,14 @@ def sharpness_demo(
 ) -> SharpnessReport:
     """Normalized spectral profiles whose p-th x1-derivative blows up.
 
-    Each lattice carries coefficients proportional to
-    |xi_1|**p / (r**(2s) phi(r)**2), sign-aligned so the derivative's
-    partial Fourier sum peaks at the origin, then normalized to unit
-    weighted norm.  When the criterion integral diverges the peak grows
-    without bound while every norm stays exactly 1.
+    Each lattice carries coefficients of modulus |xi_1|**p / (w**2 Z), with
+    w = r**s phi(r) the Hormander weight and Z**2 the derivative weight sum
+    at alpha = (p, 0, ..., 0), and phases aligned so that every term of the
+    p-th x1-derivative's Fourier sum is nonnegative at the origin.  The
+    derivative's largest modulus is therefore its value at the origin, one
+    sum over the moduli, and the weighted norm is a Parseval sum over the
+    same moduli; neither needs a transform.  When the criterion integral
+    diverges the peak grows without bound while every norm stays 1.
     """
     if criterion_verdict(phi_diverging) != "diverges":
         raise ValueError("phi satisfies the criterion; sharpness demo needs divergence")
@@ -313,27 +312,16 @@ def sharpness_demo(
     for lat in lattices:
         n = lat.k
         s = p + b + n / 2.0
-        r = r_gamma_array(lat, gamma)
-        phi_vals = eval_phi(phi_diverging, r)
-        xi = lat.xi_axis()
-        shape = [1] * (n + 1)
-        shape[0] = lat.n_x
-        xi1 = np.broadcast_to(xi.reshape(shape), lat.shape)
-        mag = np.abs(xi1) ** p / (r ** (2.0 * s) * phi_vals**2)
-        # normalizer: the same quantity as derivative_weight_sum at this alpha
-        I_N = float(np.sum(np.abs(xi1) ** p * mag) * lat.cell_volume)
+        I_N = derivative_weight_sum(lat, s, gamma, phi_diverging, (p,) + (0,) * (n - 1), 0)
         Z = math.sqrt(I_N)
-        # align signs so the p-th x1-derivative's terms add up at the origin
-        signs = np.where((-xi1) ** p >= 0, 1.0, -1.0) if p % 2 else np.ones(lat.shape)
-        coeffs = signs * mag / Z
-        g = GridFunction(lat, np.fft.ifftn(coeffs, norm="ortho"))
-        norm = hnorm(g, AnisotropicIndex(s, gamma, phi_diverging))
-        # pointwise values of the derivative as a quadrature of the inverse
-        # transform: sum of coeff * cell / (2 pi)**(n+1) at the origin
-        deriv_coeffs = coeffs * (-xi1) ** p
-        scale = lat.cell_volume * math.sqrt(lat.size) / (2.0 * math.pi) ** (n + 1)
-        deriv = scale * np.fft.ifftn(deriv_coeffs, norm="ortho")
-        sup = float(np.max(np.abs(deriv)))
+        w = weight_array(lat, AnisotropicIndex(s, gamma, phi_diverging))
+        xi1_p = np.abs(lat.xi_axis()).reshape((lat.n_x,) + (1,) * n) ** p
+        mag = xi1_p / (w * w * Z)
+        norm = _parseval_norm(w * mag, lat)
+        # the derivative at the origin, its Fourier integral as a lattice sum
+        # of nonnegative terms with cell / (2 pi)**(n+1) per mode
+        scale = lat.cell_volume / (2.0 * math.pi) ** (n + 1)
+        sup = scale * float(np.sum(xi1_p * mag))
         entries.append(
             {
                 "n_x": lat.n_x,

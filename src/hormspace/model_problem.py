@@ -253,17 +253,15 @@ def apply_operator(
     return GridFunction(lat, op.a_t * dudt + spatial_phys)
 
 
-def roundtrip_residual(
-    op: PeriodicParabolicOperator, f: GridFunction, u: GridFunction | None = None
-) -> float:
-    """Relative L2 size of (A u - f) at interior nodes 0 < t < tau.
+def roundtrip_residual(op: PeriodicParabolicOperator, f: GridFunction) -> float:
+    """Relative L2 size of (A u - f) at interior nodes 0 < t < tau, for u
+    the solve_periodic solution of A u = f.
 
     d/dt is the fourth-order stencil, so that the measured residual
     reflects the quadrature error of the solve rather than the error of the
     residual evaluator itself.
     """
-    if u is None:
-        u = solve_periodic(op, f)
+    u = solve_periodic(op, f)
     au = apply_operator(op, u, time_derivative="fd4")
     t = f.lattice.t_axis()
     interior = (t > 0.0) & (t < op.tau)

@@ -133,3 +133,22 @@ def test_json_round_trip():
     for phi in (cm.constant_one(), cm.log_power([0.5, 0.6]), cm.log_power([1], cutoff=1.5)):
         again = cm.PhiFunction.from_json_dict(phi.to_json_dict())
         assert again == phi
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: cm.log_power([math.nan]),
+        lambda: cm.log_power([0.5, math.inf]),
+        lambda: cm.log_power([1.0], cutoff=math.nan),
+        lambda: cm.log_power([1.0], cutoff=math.inf),
+        lambda: cm.PhiFunction.from_json_dict({"kind": "log_power", "exponents": [1.0], "cutoff": "nan"}),
+        lambda: cm.PhiFunction.from_json_dict({"kind": "log", "exponents": [1.0]}),
+    ],
+    ids=["nan-exponent", "inf-exponent", "nan-cutoff", "inf-cutoff", "nan-cutoff-json",
+         "unknown-kind"],
+)
+def test_phi_refuses_non_finite_parameters_and_unknown_kinds(make):
+    # a nan exponent or cutoff once gave a weight that evaluated to nan
+    with pytest.raises(ValueError):
+        make()

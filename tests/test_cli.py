@@ -399,3 +399,120 @@ def test_verify_lemma71_refuses_vacuous_tolerance(capsys, tol):
     assert code == 2
     assert captured.out == ""
     assert "--tol" in captured.err
+
+
+# options a command's handler does not read, so its parser does not declare them
+DROPPED_OPTIONS = [
+    ("check-parabolic", "--L-x", "3.0"),
+    ("check-parabolic", "--L-t", "3.0"),
+    *[(command, option, value)
+      for command in ("norm", "plus-norm", "embed-check")
+      for option, value in (("--seed", "1"), ("--tol", "1e-6"), ("--L-x", "3.0"), ("--L-t", "3.0"))],
+    ("model-verify", "--tol", "1e-6"),
+]
+
+
+def _command_argv(command, heat_file, grid_file):
+    """A cheap valid invocation of each command."""
+    return {
+        "check-parabolic": ["check-parabolic", heat_file, "--samples", "200", "--frames", "5"],
+        "norm": ["norm", grid_file, "--s", "1", "--gamma", "0.5"],
+        "plus-norm": ["plus-norm", grid_file, "--s", "1.8", "--gamma", "0.5"],
+        "model-verify": ["model-verify", heat_file, "--sigma", "4", "--ensemble", "2",
+                         "--lattice", "8x8x16", "--levels", "1"],
+        "embed-check": ["embed-check", "--phi", "1"],
+    }[command]
+
+
+@pytest.mark.parametrize("command, option, value", DROPPED_OPTIONS)
+def test_option_the_command_does_not_read_exits_2(capsys, heat_file, grid_file, command, option, value):
+    argv = _command_argv(command, heat_file, grid_file)
+    assert cli.main(argv) in (0, 1)
+    capsys.readouterr()
+    code = cli.main(argv + [option, value])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "unrecognized arguments" in captured.err
+
+
+def _with_operator(tmp_path, edit):
+    spec = edit(json.loads(json.dumps(HEAT_JSON)))
+    path = tmp_path / "op.json"
+    path.write_text(json.dumps(spec))
+    return str(path)
+
+
+def _first_coefficient(spec, key, value):
+    spec["A"][0][key] = value
+    return spec
+
+
+def _json_grid(tmp_path, key, value):
+    lat = sp.Lattice(k=1, n_x=4, n_t=4, L_x=2 * math.pi, L_t=2 * math.pi)
+    d = json.loads(gridio.grid_to_json(sp.random_grid(lat, 0)))
+    d[key] = value
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(d))
+    return str(path)
+
+
+MALFORMED = {
+    "operator-n-string": lambda t: ["check-parabolic", _with_operator(t, lambda s: {**s, "n": "2"})],
+    "operator-re-string": lambda t: [
+        "check-parabolic", _with_operator(t, lambda s: _first_coefficient(s, "re", "x"))],
+    "operator-alpha-int": lambda t: [
+        "check-parabolic", _with_operator(t, lambda s: _first_coefficient(s, "alpha", 2))],
+    "operator-top-level-list": lambda t: ["check-parabolic", _with_operator(t, lambda s: [s])],
+    "operator-frame-p-short": lambda t: [
+        "check-parabolic",
+        _with_operator(t, lambda s: {**s, "frames": [{"nu": [0, 1], "xi_tan": [1, 0], "p": [0.0]}]})],
+    "model-operator-n-string": lambda t: [
+        "model-verify", _with_operator(t, lambda s: {**s, "n": "2"}), "--sigma", "4"],
+    "json-grid-L_x-string": lambda t: ["norm", _json_grid(t, "L_x", "abc"), "--s", "1", "--gamma", "0.5"],
+    "json-grid-re-objects": lambda t: ["norm", _json_grid(t, "re", [{}] * 16), "--s", "1", "--gamma", "0.5"],
+    "phi-list": lambda t: ["embed-check", "--phi", "[1]"],
+    "phi-null-exponent": lambda t: ["embed-check", "--phi", '{"kind":"log_power","exponents":[null]}'],
+    "phi-scalar-exponents": lambda t: ["embed-check", "--phi", '{"kind":"log_power","exponents":5}'],
+    "embed-b-zero": lambda t: ["embed-check", "--phi", "1", "--b", "0"],
+    "embed-p-negative": lambda t: ["embed-check", "--phi", "1", "--p", "-1"],
+    "embed-r-nan": lambda t: ["embed-check", "--phi", "1", "--r-values", "nan"],
+    # the radial quadrature overflows in 160 and more dimensions
+    "embed-radial-n400": lambda t: ["embed-check", "--phi", "1", "--n", "400", "--radial"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_exits_2_without_traceback(capsys, tmp_path, case):
+    code = cli.main(MALFORMED[case](tmp_path))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "phi",
+    ['{"kind":"log_power","exponents":[NaN]}',
+     '{"kind":"log_power","exponents":[1.0],"cutoff":NaN}',
+     '{"kind":"log_power","exponents":[1.0],"cutoff":"nan"}'],
+    ids=["nan-exponent", "nan-cutoff", "nan-cutoff-string"],
+)
+@pytest.mark.parametrize("command", ["norm", "embed-check"])
+def test_non_finite_phi_exit_2(capsys, grid_file, command, phi):
+    # norm once printed "hnorm": "nan" with exit 0; embed-check a diverging verdict
+    argv = (["norm", grid_file, "--s", "1", "--gamma", "0.5"] if command == "norm"
+            else ["embed-check"]) + ["--phi", phi]
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("n", ["1", "4"])
+def test_embed_check_radial_in_one_and_four_dimensions(capsys, n):
+    # the angular moment is taken in closed form for every n, not only 2 and 3
+    code, out = run_cli(capsys, ["embed-check", "--phi", "1", "--n", n, "--radial"])
+    assert code == 1
+    assert max(row["relerr"] for row in json.loads(out)["radial_reduction"]) <= 1e-3

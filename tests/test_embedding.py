@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -71,6 +72,13 @@ def test_partial_constant_one_exact():
     assert em.criterion_partial(cm.constant_one(), math.e) == pytest.approx(1.0, rel=1e-10)
     assert em.criterion_partial(cm.constant_one(), math.exp(10.0)) == pytest.approx(10.0, rel=1e-10)
     assert em.criterion_partial(cm.constant_one(), 1.0) == 0.0
+
+
+@pytest.mark.parametrize("R", [math.nan, math.inf, 0.5])
+def test_partial_refuses_radius_outside_one_to_inf(R):
+    # R = nan once gave a partial integral of 0, R = inf one of -1
+    with pytest.raises(ValueError, match="R must be"):
+        em.criterion_partial(cm.constant_one(), R)
 
 
 def test_partial_log_analytic():
@@ -216,7 +224,7 @@ def test_one_legendre_rule_per_node_count(monkeypatch):
     phi = cm.log_power([0.8])
     for R in (10.0, 30.0, 100.0):  # the radii of embed-check --radial
         em.radial_reduction_check(2.0, 0.5, phi, (0, 0), 0, R)
-    assert sorted(built) == [64, 96]
+    assert sorted(built) == [96]
 
 
 def test_radial_integrand_exponents_fit():
@@ -272,3 +280,134 @@ def test_sharpness_demo_slow_divergence_p1():
 def test_sharpness_demo_refuses_convergent():
     with pytest.raises(ValueError):
         em.sharpness_demo(cm.log_power([0.6]), 0, _ladder(8, 2))
+
+
+def _sharpness_round_trip(phi, p, lattices, b):
+    """The transform round trip sharpness_demo replaced, kept as its reference.
+
+    Sign-aligned coefficients go through a full-lattice inverse DFT; the
+    norm is hnorm of that grid function and the sup is the largest modulus
+    of the derivative's inverse DFT over the whole lattice.
+    """
+    gamma = 1.0 / (2.0 * b)
+    rows = []
+    for lat in lattices:
+        n = lat.k
+        s = p + b + n / 2.0
+        r = sp.r_gamma_array(lat, gamma)
+        shape = [1] * (n + 1)
+        shape[0] = lat.n_x
+        xi1 = np.broadcast_to(lat.xi_axis().reshape(shape), lat.shape)
+        mag = np.abs(xi1) ** p / (r ** (2.0 * s) * cm.eval_phi(phi, r) ** 2)
+        weight_sum = float(np.sum(np.abs(xi1) ** p * mag) * lat.cell_volume)
+        signs = np.where((-xi1) ** p >= 0, 1.0, -1.0) if p % 2 else np.ones(lat.shape)
+        coeffs = signs * mag / math.sqrt(weight_sum)
+        g = sp.GridFunction(lat, np.fft.ifftn(coeffs, norm="ortho"))
+        norm = sp.hnorm(g, sp.AnisotropicIndex(s, gamma, phi))
+        scale = lat.cell_volume * math.sqrt(lat.size) / (2.0 * math.pi) ** (n + 1)
+        deriv = scale * np.fft.ifftn(coeffs * (-xi1) ** p, norm="ortho")
+        rows.append((norm, float(np.max(np.abs(deriv))), weight_sum))
+    return rows
+
+
+@pytest.mark.parametrize("b", [1, 2])
+@pytest.mark.parametrize("p", [0, 1, 2])
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize(
+    "phi",
+    [cm.constant_one(), cm.log_power([0.4]), cm.log_power([0.5, 0.3])],
+    ids=["one", "log0.4", "log0.5_0.3"],
+)
+def test_sharpness_demo_matches_transform_round_trip(phi, k, p, b):
+    lattices = _ladder(4, 3, k)
+    rep = em.sharpness_demo(phi, p, lattices, b=b)
+    want = _sharpness_round_trip(phi, p, lattices, b)
+    for entry, (norm, sup, weight_sum) in zip(rep.entries, want):
+        assert entry["norm"] == pytest.approx(norm, rel=1e-12, abs=0)
+        assert entry["sup_derivative"] == pytest.approx(sup, rel=1e-12, abs=0)
+        assert entry["weight_sum"] == pytest.approx(weight_sum, rel=1e-12, abs=0)
+        # the peak at the origin is the square root of the weight sum
+        assert sup == pytest.approx(math.sqrt(weight_sum) / (2 * math.pi) ** (k + 1), rel=1e-12, abs=0)
+    norms = [norm for norm, _, _ in want]
+    assert rep.norm_spread == pytest.approx(0.0, abs=1e-13)
+    assert (max(norms) - min(norms)) / max(norms) <= 1e-13
+    sups = [sup for _, sup, _ in want]
+    assert rep.sup_monotone is all(hi > lo for lo, hi in zip(sups, sups[1:]))
+
+
+def test_sharpness_demo_runs_no_transform_and_no_hnorm(monkeypatch):
+    calls = []
+
+    def spy(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("fft", "ifft", "fftn", "ifftn", "rfft", "irfft", "rfftn", "irfftn"):
+        monkeypatch.setattr(np.fft, name, spy(name, getattr(np.fft, name)))
+    hnorm = sp.hnorm
+    for mod in [m for name, m in sys.modules.items() if name.startswith("hormspace")]:
+        for attr, val in list(vars(mod).items()):
+            if val is hnorm:
+                monkeypatch.setattr(mod, attr, spy("hnorm", hnorm))
+    lattices = _ladder(8, 3)
+    em.sharpness_demo(cm.constant_one(), 1, lattices)
+    assert calls == []
+    # the spies see the calls of the round trip the demo replaced
+    _sharpness_round_trip(cm.constant_one(), 1, lattices[:1], 1)
+    assert "ifftn" in calls and "hnorm" in calls and "fftn" in calls
+
+
+def _gauss_angular_moment(alpha):
+    """The 64-node Gauss quadratures _angular_moment replaced, kept as its reference."""
+    x, w = np.polynomial.legendre.leggauss(64)
+
+    def gauss(a, b):
+        return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
+
+    if len(alpha) == 2:
+        th, wt = gauss(0.0, 2.0 * math.pi)
+        vals = (np.cos(th) ** 2) ** alpha[0] * (np.sin(th) ** 2) ** alpha[1]
+        return float(np.sum(vals * wt))
+    th, wt = gauss(0.0, math.pi)
+    ph, wp = gauss(0.0, 2.0 * math.pi)
+    TH, PH = np.meshgrid(th, ph, indexing="ij")
+    ox = np.sin(TH) * np.cos(PH)
+    oy = np.sin(TH) * np.sin(PH)
+    oz = np.cos(TH)
+    vals = (ox**2) ** alpha[0] * (oy**2) ** alpha[1] * (oz**2) ** alpha[2]
+    return float(np.sum(vals * np.sin(TH) * np.outer(wt, wp)))
+
+
+@pytest.mark.parametrize(
+    "alpha",
+    [(0, 0), (1, 0), (0, 1), (2, 1), (3, 3), (5, 2),
+     (0, 0, 0), (1, 0, 0), (0, 0, 1), (1, 2, 0), (2, 2, 2), (3, 1, 4)],
+    ids=str,
+)
+def test_angular_moment_matches_gauss_quadrature(alpha):
+    assert em._angular_moment(alpha) == pytest.approx(_gauss_angular_moment(alpha), rel=1e-14, abs=0)
+
+
+def test_angular_moment_runs_no_quadrature(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("quadrature rule built")
+
+    monkeypatch.setattr(em, "_gauss", refuse)
+    monkeypatch.setattr(em, "_legendre_rule", refuse)
+    # the measures of S^0, S^1, S^2 and S^3
+    for n, measure in enumerate((2.0, 2 * math.pi, 4 * math.pi, 2 * math.pi**2), start=1):
+        assert em._angular_moment((0,) * n) == pytest.approx(measure, rel=1e-14, abs=0)
+
+
+@pytest.mark.parametrize("n", [1, 4])
+def test_radial_reduction_beyond_two_and_three_dimensions(n):
+    # the closed-form angular moment holds for every n; at phi == 1 the
+    # truncated multiple integral tracks the calibrated radial integral
+    em._CALIBRATION_CACHE.clear()
+    s = 1 + n / 2.0  # p = 0, b = 1
+    for R in (10.0, 30.0, 100.0):
+        res = em.radial_reduction_check(s, 0.5, cm.constant_one(), (0,) * n, 0, R)
+        assert res.relerr <= 1e-3
