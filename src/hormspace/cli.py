@@ -177,25 +177,34 @@ def _cmd_check_parabolic(args) -> tuple[dict, int]:
 
 def _cmd_norm(args) -> tuple[dict, int]:
     g, _region = _load_grid_file(args.grid)
+    lat = g.lattice
     phi = _parse_phi(args.phi)
     idx = spectra.AnisotropicIndex(args.s, args.gamma, phi)
     field_ = spectra.dft(g)
+    # hnorm's Parseval sum over this one transform, and r_gamma_max from the
+    # r_gamma array of its weight
+    r = spectra.r_gamma_array(lat, idx.gamma)
+    hnorm = spectra._parseval_norm(spectra._weight(r, idx) * np.abs(field_.coeffs), lat)
+    r_gamma_max = float(np.max(r))
+    del r
     back = spectra.idft(field_)
+    # each full-lattice array is dropped once used, so that fewer of them
+    # are alive under the round-trip difference and the embedding constants
+    del field_
     rt = float(
         np.max(np.abs(back.samples - g.samples))
         / max(float(np.max(np.abs(g.samples))), 1e-300)
     )
-    l2 = float(
-        np.linalg.norm(g.samples.ravel()) * math.sqrt(g.lattice.cell_volume)
-    )
+    del back
+    l2 = float(np.linalg.norm(g.samples.ravel()) * math.sqrt(lat.cell_volume))
     report = {
-        "lattice": {"k": g.lattice.k, "n_x": g.lattice.n_x, "n_t": g.lattice.n_t},
-        "hnorm": spectra.hnorm(g, idx),
+        "lattice": {"k": lat.k, "n_x": lat.n_x, "n_t": lat.n_t},
+        "hnorm": hnorm,
         "l2": l2,
         "dft_roundtrip_error": rt,
         # r_gamma = 1 at xi = 0, eta = 0, so the weight there is phi(1)
         "weight_at_origin": class_m.eval_phi(idx.phi, 1.0),
-        "r_gamma_max": float(np.max(spectra.r_gamma_array(g.lattice, idx.gamma))),
+        "r_gamma_max": r_gamma_max,
     }
     if args.embed_window:
         s0, s1 = args.embed_window
@@ -203,7 +212,7 @@ def _cmd_norm(args) -> tuple[dict, int]:
             spectra.AnisotropicIndex(s0, idx.gamma, phi),
             idx,
             spectra.AnisotropicIndex(s1, idx.gamma, phi),
-            g.lattice,
+            lat,
         )
         report["embedding_constants"] = [c_low, c_high]
     return report, 0
@@ -279,11 +288,18 @@ def _cmd_model_verify(args) -> tuple[dict, int]:
     op = model_problem.PeriodicParabolicOperator(symbol=A, L_x=lat.L_x, tau=tau)
     phi = _parse_phi(args.phi)
     sigma, seed, n_ens = args.sigma, args.seed, args.ensemble
-    ensemble = [
-        model_problem.synthesize_forcing(lat, tau, seed + i) for i in range(n_ens)
-    ]
-    c1, c2 = model_problem.two_sided_ratio(op, ensemble, sigma, phi)
-    resid = model_problem.roundtrip_residual(op, ensemble[0])
+
+    def ensemble(lattice):
+        # drawn one member at a time, so no ensemble is ever held whole
+        return (
+            model_problem.synthesize_forcing(lattice, tau, seed + i) for i in range(n_ens)
+        )
+
+    c1, c2 = model_problem.two_sided_ratio(op, ensemble(lat), sigma, phi)
+    # synthesize_forcing is deterministic: this is the ensemble's first member
+    resid = model_problem.roundtrip_residual(
+        op, model_problem.synthesize_forcing(lat, tau, seed)
+    )
     report = {
         "c1_hat": c1,
         "c2_hat": c2,
@@ -293,10 +309,7 @@ def _cmd_model_verify(args) -> tuple[dict, int]:
     passed = math.isfinite(c1) and math.isfinite(c2) and c1 > 0
     if args.refine > 0:
         lat2 = lat.refine(2, 2)
-        ensemble2 = [
-            model_problem.synthesize_forcing(lat2, tau, seed + i) for i in range(n_ens)
-        ]
-        c1r, c2r = model_problem.two_sided_ratio(op, ensemble2, sigma, phi)
+        c1r, c2r = model_problem.two_sided_ratio(op, ensemble(lat2), sigma, phi)
         change = (c2r / c1r) / (c2 / c1)
         report["refined"] = {"c1_hat": c1r, "c2_hat": c2r, "spread_change": change}
         passed = passed and 0.5 < change < 2.0
@@ -308,6 +321,19 @@ def _cmd_model_verify(args) -> tuple[dict, int]:
     return report, 0 if report["passed"] else 1
 
 
+# the most points of one lattice that embed-check builds: its lattices grow as
+# 2**(5(n+1)) (--weight-sum) and 2**(7(n+1)) (--sharpness) with the
+# dimension, and several float arrays of that size are alive at once
+_EMBED_MAX_POINTS = 2**22
+
+
+def _cube_ladder(n: int, points: int, rungs: int) -> list[spectra.Lattice]:
+    """2 pi-periodic lattices of points**(n+1) points, doubling every extent
+    from one rung to the next."""
+    base = spectra.Lattice(k=n, n_x=points, n_t=points, L_x=2 * math.pi, L_t=2 * math.pi)
+    return [base.refine(2**i, 2**i) for i in range(rungs)]
+
+
 def _cmd_embed_check(args) -> tuple[dict, int]:
     phi = _parse_phi(args.phi)
     p, b, n = args.p, args.b, args.n
@@ -316,6 +342,15 @@ def _cmd_embed_check(args) -> tuple[dict, int]:
     gamma = 1.0 / (2.0 * b)
     s = p + b + n / 2.0
     verdict = embedding.criterion_verdict(phi)
+    # a Lattice holds no arrays, so the sizes are checked before any is filled
+    weight_lattices = _cube_ladder(n, 16, 2) if args.weight_sum else []
+    ladder = _cube_ladder(n, 8, 5) if args.sharpness and verdict == "diverges" else []
+    largest = max((lat.size for lat in weight_lattices + ladder), default=0)
+    if largest > _EMBED_MAX_POINTS:
+        raise ValueError(
+            f"--n {n} needs a lattice of {largest} points; "
+            f"embed-check builds at most {_EMBED_MAX_POINTS}"
+        )
     r_values = args.r_values
     partials = [embedding.criterion_partial(phi, R) for R in r_values]
     defects = class_m.slow_variation_defect(phi, 2.0, r_values)
@@ -327,26 +362,20 @@ def _cmd_embed_check(args) -> tuple[dict, int]:
         "epsilon_bound_constant": class_m.epsilon_bound_constant(phi, 0.5, 1e6),
         "s": s,
     }
-    if args.weight_sum:
-        lat = spectra.Lattice(k=n, n_x=16, n_t=16, L_x=2 * math.pi, L_t=2 * math.pi)
-        report["weight_sums"] = {
-            "base": embedding.derivative_weight_sum(lat, s, gamma, phi, (0,) * n, 0),
-            "doubled": embedding.derivative_weight_sum(
-                lat.refine(2, 2), s, gamma, phi, (0,) * n, 0
-            ),
-        }
+    if weight_lattices:
+        base_sum, doubled_sum = (
+            embedding.derivative_weight_sum(lat, s, gamma, phi, (0,) * n, 0)
+            for lat in weight_lattices
+        )
+        report["weight_sums"] = {"base": base_sum, "doubled": doubled_sum}
     if args.radial:
         rows = []
         for R in (10.0, 30.0, 100.0):
             res = embedding.radial_reduction_check(s, gamma, phi, (0,) * n, 0, R)
             rows.append({"R": R, **res.to_json_dict()})
         report["radial_reduction"] = rows
-    if args.sharpness and verdict == "diverges":
-        base = spectra.Lattice(k=n, n_x=8, n_t=8, L_x=2 * math.pi, L_t=2 * math.pi)
-        lattices = [base]
-        for _ in range(4):
-            lattices.append(lattices[-1].refine(2, 2))
-        report["sharpness"] = embedding.sharpness_demo(phi, p, lattices, b=b).to_json_dict()
+    if ladder:
+        report["sharpness"] = embedding.sharpness_demo(phi, p, ladder, b=b).to_json_dict()
     return report, 0 if verdict == "converges" else 1
 
 

@@ -253,14 +253,17 @@ def radial_reduction_check(
 
     one = constant_one()
     cache_key = (s, gamma, alpha, beta)
-    c = _CALIBRATION_CACHE.get(cache_key)
-    if c is None:
-        c = _lhs_truncated(s, gamma, one, alpha, beta, _CALIBRATION_R) / tail(
-            one, _CALIBRATION_R
-        )
-        _CALIBRATION_CACHE[cache_key] = c
-    lhs = _lhs_truncated(s, gamma, phi, alpha, beta, R)
-    rhs = c * tail(phi, R)
+    # in many dimensions the powers overflow to inf and their quotients to
+    # nan; the finiteness check below refuses that, so numpy stays quiet
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = _CALIBRATION_CACHE.get(cache_key)
+        if c is None:
+            c = _lhs_truncated(s, gamma, one, alpha, beta, _CALIBRATION_R) / tail(
+                one, _CALIBRATION_R
+            )
+            _CALIBRATION_CACHE[cache_key] = c
+        lhs = _lhs_truncated(s, gamma, phi, alpha, beta, R)
+        rhs = c * tail(phi, R)
     if not (math.isfinite(lhs) and math.isfinite(rhs)):
         raise ValueError(f"radial reduction overflows double precision at n = {n}, s = {s}")
     relerr = abs(lhs - rhs) / lhs if lhs != 0 else math.inf

@@ -55,22 +55,24 @@ def load_grid(path) -> tuple[GridFunction, RegionMask | None]:
     magic, k, n_x, n_t, L_x, L_t = _HEADER.unpack_from(raw, 0)
     lat = Lattice(k=int(k), n_x=int(n_x), n_t=int(n_t), L_x=L_x, L_t=L_t)
     n = lat.size
-    body = raw[_HEADER.size :]
-    sample_bytes = 8 * n
-    if len(body) < sample_bytes:
+    # every section is read in place by its offset into raw, not sliced out
+    # of it, since a bytes slice is a copy
+    masks_at = _HEADER.size + 8 * n
+    if len(raw) < masks_at:
         raise ValueError(f"{path}: truncated sample section")
-    samples = np.frombuffer(body[:sample_bytes], dtype="<c8").astype(complex)
+    samples = np.frombuffer(raw, dtype="<c8", count=n, offset=_HEADER.size).astype(complex)
     g = GridFunction(lat, samples.reshape(lat.shape))
-    rest = body[sample_bytes:]
-    if not rest:
+    if len(raw) == masks_at:
         return g, None
     mask_bytes = (n + 7) // 8
-    if len(rest) != 2 * mask_bytes:
+    if len(raw) - masks_at != 2 * mask_bytes:
         raise ValueError(f"{path}: malformed mask section")
-    v = np.unpackbits(np.frombuffer(rest[:mask_bytes], dtype=np.uint8))[:n].astype(bool)
-    t = np.unpackbits(np.frombuffer(rest[mask_bytes:], dtype=np.uint8))[:n].astype(bool)
-    region = RegionMask(lat, v.reshape(lat.shape), t.reshape(lat.shape))
-    return g, region
+
+    def mask(at):
+        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8, count=mask_bytes, offset=at))
+        return bits[:n].astype(bool).reshape(lat.shape)
+
+    return g, RegionMask(lat, mask(masks_at), mask(masks_at + mask_bytes))
 
 
 def grid_to_json(g: GridFunction) -> str:

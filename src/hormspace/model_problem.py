@@ -22,6 +22,7 @@ to physical space.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -275,16 +276,21 @@ def roundtrip_residual(op: PeriodicParabolicOperator, f: GridFunction) -> float:
 
 def two_sided_ratio(
     op: PeriodicParabolicOperator,
-    ensemble: list[GridFunction],
+    ensemble: Iterable[GridFunction],
     sigma: float,
     phi: PhiFunction | None = None,
 ) -> tuple[float, float]:
     """(min, max) over the ensemble of ||u||_{sigma,+} / ||f||_{sigma - 2m}.
 
     Finite, stable bounds certify the two-sided a priori estimate on the
-    lattice.  Requires sigma > 2m and a nondegenerate ensemble.  Each member
-    is taken in spatial modes: one spatial transform of f feeds both its
-    norm and the Duhamel modes of u, which go to the plus-norm block stage
+    lattice.  Requires sigma > 2m and a nondegenerate ensemble.  The
+    ensemble may be any iterable, a generator included.  Each member is
+    read once, in order, and the next one is drawn only after the current
+    one's ratio is taken, so a generator keeps one member in memory at a
+    time (besides the one it is making).  The lattice, the plus-norm solver
+    and the forcing weight come from the first member.  Each member is
+    taken in spatial modes: one spatial transform of f feeds both its norm
+    and the Duhamel modes of u, which go to the plus-norm block stage
     directly.  Up to rounding this equals solve_periodic, then
     PlusNormSolver.solve, over hnorm of f, with the same refusals.
     """
@@ -293,9 +299,11 @@ def two_sided_ratio(
     order = 2 * op.symbol.m
     if not sigma > order:
         raise ValueError(f"need sigma > {order}")
-    if not ensemble:
+    members = iter(ensemble)
+    f = next(members, None)
+    if f is None:
         raise ValueError("ensemble must be nonempty")
-    lat = ensemble[0].lattice
+    lat = f.lattice
     gamma = 1.0 / (2.0 * op.symbol.b)
     idx_u = AnisotropicIndex(sigma, gamma, phi)
     idx_f = AnisotropicIndex(sigma - order, gamma, phi)
@@ -307,7 +315,7 @@ def two_sided_ratio(
     w_f = weight_array(lat, idx_f)
     axes = tuple(range(lat.k))
     ratios = []
-    for f in ensemble:
+    while f is not None:
         if f.lattice != lat:
             raise ValueError("ensemble members live on different lattices")
         _check_forcing(op, f)
@@ -317,6 +325,7 @@ def two_sided_ratio(
             raise ValueError("ensemble contains a zero forcing; ratio undefined")
         u_modes = _duhamel_modes(op, lat, fhat)
         ratios.append(solver._minimise(solver._expand(u_modes)) / fn)
+        f = next(members, None)
     return float(min(ratios)), float(max(ratios))
 
 

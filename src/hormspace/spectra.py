@@ -163,11 +163,16 @@ def r_gamma_array(lattice: Lattice, gamma: float) -> np.ndarray:
     return np.sqrt(1.0 + sq)
 
 
+def _weight(r: np.ndarray, idx: AnisotropicIndex, phi_r=None) -> np.ndarray:
+    """r**s * phi(r) at the r_gamma values r; phi_r, when given, is
+    phi(r) already evaluated."""
+    return r**idx.s * (eval_phi(idx.phi, r) if phi_r is None else phi_r)
+
+
 def weight_array(lattice: Lattice, idx: AnisotropicIndex) -> np.ndarray:
     """The Hormander weight r_gamma**s * phi(r_gamma) over the whole
     frequency lattice (FFT order)."""
-    r = r_gamma_array(lattice, idx.gamma)
-    return r**idx.s * eval_phi(idx.phi, r)
+    return _weight(r_gamma_array(lattice, idx.gamma), idx)
 
 
 def dft(g: GridFunction) -> SpectralField:
@@ -223,9 +228,13 @@ def embedding_constants(
         raise ValueError("need idx0.s <= idx.s <= idx1.s")
     if not (idx0.gamma == idx.gamma == idx1.gamma):
         raise ValueError("indices must share gamma")
-    w0 = weight_array(lattice, idx0)
-    w = weight_array(lattice, idx)
-    w1 = weight_array(lattice, idx1)
+    # one r_gamma array for the three weights, and one phi(r) for those
+    # indices that share the middle one's phi
+    r = r_gamma_array(lattice, idx.gamma)
+    phi_r = eval_phi(idx.phi, r)
+    w0, w, w1 = (
+        _weight(r, i, phi_r if i.phi == idx.phi else None) for i in (idx0, idx, idx1)
+    )
     return float(np.max(w0 / w)), float(np.max(w / w1))
 
 

@@ -4,11 +4,14 @@ import json
 import math
 import struct
 import sys
+import warnings
+import weakref
 
 import pytest
 
 from conftest import scattered_16x32
-from hormspace import cli, gridio
+from hormspace import class_m as cm
+from hormspace import cli, embedding, gridio, model_problem
 from hormspace import plus_spaces as ps
 from hormspace import spectra as sp
 
@@ -516,3 +519,84 @@ def test_embed_check_radial_in_one_and_four_dimensions(capsys, n):
     code, out = run_cli(capsys, ["embed-check", "--phi", "1", "--n", n, "--radial"])
     assert code == 1
     assert max(row["relerr"] for row in json.loads(out)["radial_reduction"]) <= 1e-3
+
+
+def test_model_verify_holds_one_forcing_at_a_time(capsys, heat_file, monkeypatch):
+    # each ensemble is drawn member by member: when a member is made, at most
+    # the one before it is still alive, whatever the ensemble size
+    made = []
+    alive_at_call = []
+    synthesize = model_problem.synthesize_forcing
+
+    def tracked(lattice, tau, seed):
+        alive_at_call.append(sum(ref() is not None for ref in made))
+        f = synthesize(lattice, tau, seed)
+        made.append(weakref.ref(f))
+        return f
+
+    monkeypatch.setattr(model_problem, "synthesize_forcing", tracked)
+    code, _ = run_cli(
+        capsys,
+        ["model-verify", heat_file, "--sigma", "4", "--ensemble", "6", "--refine", "1",
+         "--lattice", "8x8x16", "--levels", "1"],
+    )
+    assert code == 0
+    assert len(alive_at_call) >= 12
+    assert max(alive_at_call) <= 1, alive_at_call
+
+
+def test_norm_report_equals_the_public_functions(capsys, grid_file):
+    phi_text = '{"kind":"log_power","exponents":[0.7,0.2]}'
+    code, out = run_cli(
+        capsys,
+        ["norm", grid_file, "--s", "1.3", "--gamma", "0.25", "--phi", phi_text,
+         "--embed-window", "0.5", "2"],
+    )
+    assert code == 0
+    report = json.loads(out)
+    g, _region = gridio.load_grid(grid_file)
+    phi = cm.PhiFunction.from_json_dict(json.loads(phi_text))
+    idx = sp.AnisotropicIndex(1.3, 0.25, phi)
+    want = {
+        "hnorm": sp.hnorm(g, idx),
+        "r_gamma_max": float(max(sp.r_gamma_array(g.lattice, 0.25).ravel())),
+        "embedding_constants": list(sp.embedding_constants(
+            sp.AnisotropicIndex(0.5, 0.25, phi), idx, sp.AnisotropicIndex(2, 0.25, phi),
+            g.lattice,
+        )),
+    }
+    assert {key: report[key] for key in want} == want
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--n", "3", "--sharpness"], ["--n", "4", "--weight-sum"]],
+    ids=["sharpness-n3", "weight-sum-n4"],
+)
+def test_embed_check_refuses_oversized_lattice(capsys, monkeypatch, argv):
+    # refused from the lattice sizes alone: neither builder may run (at n = 3
+    # the sharpness ladder would end at 2**28 points)
+    def never(*args, **kwargs):
+        raise AssertionError("a lattice was built before the size check")
+
+    monkeypatch.setattr(embedding, "derivative_weight_sum", never)
+    monkeypatch.setattr(embedding, "sharpness_demo", never)
+    code = cli.main(["embed-check", "--phi", "1"] + argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert str(cli._EMBED_MAX_POINTS) in captured.err
+
+
+def test_embed_check_radial_overflow_writes_only_its_refusal(capsys, monkeypatch):
+    # the quadrature overflowed with numpy RuntimeWarnings before the refusal
+    monkeypatch.setattr(embedding, "_CALIBRATION_CACHE", {})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["embed-check", "--phi", "1", "--n", "160", "--radial"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert len(captured.err.splitlines()) == 1

@@ -56,3 +56,22 @@ def test_reject_garbage(tmp_path):
     path.write_bytes(b"NOPE" + b"\x00" * 64)
     with pytest.raises(ValueError):
         gridio.load_grid(path)
+
+
+def test_reject_truncated_samples_and_malformed_masks(tmp_path, small_lattice):
+    g = sp.random_grid(small_lattice, 4)
+    region = ps.time_window_region(small_lattice, 0.0, small_lattice.L_t / 4)
+    path = tmp_path / "gr.hgrd"
+    gridio.save_grid(path, g, region)
+    raw = path.read_bytes()
+    samples_end = 32 + 8 * small_lattice.size
+    for cut, message in [(samples_end - 1, "truncated sample section"),
+                         (samples_end + 1, "malformed mask section"),
+                         (len(raw) - 1, "malformed mask section")]:
+        path.write_bytes(raw[:cut])
+        with pytest.raises(ValueError, match=message):
+            gridio.load_grid(path)
+    path.write_bytes(raw[:samples_end])
+    g2, region2 = gridio.load_grid(path)
+    assert region2 is None
+    assert np.array_equal(g2.samples, g.samples.astype(np.complex64))

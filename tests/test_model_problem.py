@@ -344,3 +344,27 @@ def test_inheritance_refuses_empty_ladder(heat_op, levels):
     with pytest.raises(ValueError, match="levels"):
         mp.regularity_inheritance_check(heat_op, _lattice(), 4.0, levels=levels)
 
+
+
+def test_two_sided_ratio_generator_equals_list(heat_op):
+    lat = _lattice(8, 16)
+    phi = cm.log_power([1])
+    ens = [mp.synthesize_forcing(lat, heat_op.tau, seed=i) for i in range(4)]
+    streamed = mp.two_sided_ratio(heat_op, (f for f in ens), 4.0, phi)
+    assert streamed == mp.two_sided_ratio(heat_op, ens, 4.0, phi)
+
+
+def test_two_sided_ratio_refuses_empty_generator(heat_op):
+    with pytest.raises(ValueError, match="ensemble must be nonempty"):
+        mp.two_sided_ratio(heat_op, (f for f in []), 4.0)
+
+
+def test_two_sided_ratio_refuses_generator_member_on_other_lattice(heat_op):
+    lat = _lattice(8, 16)
+
+    def members():
+        yield mp.synthesize_forcing(lat, heat_op.tau, seed=0)
+        yield mp.synthesize_forcing(lat.refine(2, 2), heat_op.tau, seed=1)
+
+    with pytest.raises(ValueError, match="different lattices"):
+        mp.two_sided_ratio(heat_op, members(), 4.0)

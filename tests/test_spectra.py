@@ -139,6 +139,20 @@ def test_embedding_constants_log_weight(medium_lattice):
     assert math.isfinite(c_low) and math.isfinite(c_high)
 
 
+@pytest.mark.parametrize(
+    "outer_phi", [cm.log_power([3]), cm.constant_one()], ids=["other", "shared"]
+)
+def test_embedding_constants_equal_weight_array_ratios(medium_lattice, outer_phi):
+    # the weights share one r_gamma array, and phi(r) where the phis agree;
+    # log**3 puts both maxima away from the origin, where every ratio is 1
+    idx0 = sp.AnisotropicIndex(0.5, 0.5, outer_phi)
+    idx = sp.AnisotropicIndex(1.5, 0.5)
+    idx1 = sp.AnisotropicIndex(2.5, 0.5, outer_phi)
+    w0, w, w1 = (sp.weight_array(medium_lattice, i) for i in (idx0, idx, idx1))
+    want = (float(np.max(w0 / w)), float(np.max(w / w1)))
+    assert sp.embedding_constants(idx0, idx, idx1, medium_lattice) == want
+
+
 def test_norm_chain_certified(medium_lattice):
     phi = cm.log_power([1])
     idx0 = sp.AnisotropicIndex(0.5, 0.5, phi)
