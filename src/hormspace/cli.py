@@ -290,10 +290,9 @@ def _cmd_model_verify(args) -> tuple[dict, int]:
     sigma, seed, n_ens = args.sigma, args.seed, args.ensemble
 
     def ensemble(lattice):
-        # drawn one member at a time, so no ensemble is ever held whole
-        return (
-            model_problem.synthesize_forcing(lattice, tau, seed + i) for i in range(n_ens)
-        )
+        # each member is the band of spatial modes its synthesize_forcing
+        # sample occupies, drawn one at a time
+        return (model_problem._forcing_modes(lattice, tau, seed + i) for i in range(n_ens))
 
     c1, c2 = model_problem.two_sided_ratio(op, ensemble(lat), sigma, phi)
     # synthesize_forcing is deterministic: this is the ensemble's first member

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -231,7 +232,7 @@ def radial_reduction_check(
     phi == 1, so constancy of lhs/rhs across truncation radii is the
     verified content.
     """
-    from scipy.integrate import quad
+    from scipy.integrate import IntegrationWarning, quad
 
     alpha = tuple(int(a) for a in alpha)
     n = len(alpha)
@@ -240,15 +241,22 @@ def radial_reduction_check(
     delta = p - sum(alpha) - 2 * b * beta
     if delta < -1e-9:
         raise ValueError("requires |alpha| + 2b beta <= p = s - b - n/2")
+    overflow = f"radial reduction overflows double precision at n = {n}, s = {s}"
 
     def tail(phi_, upper):
-        val, _ = quad(
-            lambda r: float(radial_integrand(s, delta, phi_, r)),
-            1.0,
-            upper,
-            limit=400,
-            epsrel=1e-11,
-        )
+        # an integrand overflowed to nan makes quad warn rather than fail
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", IntegrationWarning)
+            try:
+                val, _ = quad(
+                    lambda r: float(radial_integrand(s, delta, phi_, r)),
+                    1.0,
+                    upper,
+                    limit=400,
+                    epsrel=1e-11,
+                )
+            except IntegrationWarning:
+                raise ValueError(overflow) from None
         return float(val)
 
     one = constant_one()
@@ -265,7 +273,7 @@ def radial_reduction_check(
         lhs = _lhs_truncated(s, gamma, phi, alpha, beta, R)
         rhs = c * tail(phi, R)
     if not (math.isfinite(lhs) and math.isfinite(rhs)):
-        raise ValueError(f"radial reduction overflows double precision at n = {n}, s = {s}")
+        raise ValueError(overflow)
     relerr = abs(lhs - rhs) / lhs if lhs != 0 else math.inf
     return RadialReductionResult(lhs, rhs, relerr, c)
 

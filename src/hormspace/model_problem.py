@@ -13,10 +13,13 @@ support-constrained factor norm of the solution on the window (0, tau) to
 the weighted norm of the forcing two orders lower; the factor norm is used
 because the free tail of the solution wraps around the periodic time
 window and a plain spectral norm at high order would see that seam.  The
-window is a time slab, so its masks commute with the spatial DFT: the ratio
-is taken in spatial modes, from one spatial transform of each forcing
-through the Duhamel modes to the plus-norm block stage, without returning
-to physical space.
+window is a time slab, so its masks commute with the spatial DFT and the
+plus norm splits into one block per spatial mode, as the Duhamel solve does:
+the ratio is taken in spatial modes, without returning to physical space,
+and only on the modes a forcing occupies.  A grid forcing occupies all of
+them after its one spatial transform; a synthesized forcing, made in modal
+form, occupies the band of at most 5**k modes |m| <= 2, and every other
+mode carries exactly zero.
 """
 
 from __future__ import annotations
@@ -140,25 +143,54 @@ def _phi12(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return phi1, phi2
 
 
-def _check_forcing(op: PeriodicParabolicOperator, f: GridFunction) -> None:
+def _check_forcing(op: PeriodicParabolicOperator, lat: Lattice, values: np.ndarray) -> None:
     """The forcing must live on the operator's lattice and be supported in
-    0 <= t <= tau."""
-    lat = f.lattice
+    0 <= t <= tau.  values are its samples or its spatial modes, time last:
+    a time slice vanishes in one form exactly when it does in the other."""
     op._check_lattice(lat)
     t = lat.t_axis()
     outside = (t < 0.0) | (t > op.tau + 1e-12 * lat.L_t)
-    scale = float(np.max(np.abs(f.samples))) if f.samples.size else 0.0
+    scale = float(np.max(np.abs(values))) if values.size else 0.0
     if scale > 0:
-        off = float(np.max(np.abs(f.samples[..., outside]), initial=0.0))
+        off = float(np.max(np.abs(values[..., outside]), initial=0.0))
         if off > 1e-12 * scale:
             raise ValueError("forcing is not supported in 0 <= t <= tau")
 
 
-def _duhamel_modes(op: PeriodicParabolicOperator, lat: Lattice, fhat: np.ndarray) -> np.ndarray:
-    """Spatial modes of the Duhamel solution from the spatial modes fhat of
-    a supported forcing (unitary DFT over the spatial axes, time samples
-    last).  Every mode is exactly 0 for t <= 0.  Raises StabilityError if
-    any mode has Re lambda < 0 (a genuinely growing mode)."""
+@dataclass(frozen=True)
+class _ModalForcing:
+    """A forcing by its spatial modes (unitary DFT over the spatial axes):
+    row r of modes holds the n_t time samples of the mode at flat index
+    rows[r] (C order over the spatial axes), and every other mode is 0.
+    rows may be slice(None), all modes in order."""
+
+    lattice: Lattice
+    rows: np.ndarray | slice
+    modes: np.ndarray
+
+    def __post_init__(self):
+        lat = self.lattice
+        n_rows = np.arange(lat.n_x**lat.k)[self.rows].size
+        if self.modes.shape != (n_rows, lat.n_t):
+            raise ValueError("modes must hold n_t time samples for each row")
+        if not np.all(np.isfinite(self.modes)):
+            raise ValueError("modes must be finite")
+
+
+def _spatial_modes(f: GridFunction | _ModalForcing) -> _ModalForcing:
+    """The forcing in modal form; a grid takes its one spatial transform."""
+    if isinstance(f, _ModalForcing):
+        return f
+    lat = f.lattice
+    fhat = np.fft.fftn(f.samples, axes=tuple(range(lat.k)), norm="ortho")
+    return _ModalForcing(lat, slice(None), fhat.reshape(-1, lat.n_t))
+
+
+def _duhamel_weights(op: PeriodicParabolicOperator, lat: Lattice) -> np.ndarray:
+    """Exponential-quadrature weights (e^z, h (phi1 - phi2), h phi2) with
+    z = -lambda h, one column per spatial mode of the lattice (flat C
+    order).  Raises StabilityError if any mode of the lattice has
+    Re lambda < 0 (a genuinely growing mode)."""
     lam = op.lambda_modes(lat)
     re_min = float(np.min(lam.real))
     if re_min < -1e-12 * (1.0 + float(np.max(np.abs(lam)))):
@@ -171,21 +203,26 @@ def _duhamel_modes(op: PeriodicParabolicOperator, lat: Lattice, fhat: np.ndarray
             xi=np.asarray(xi_bad),
             lam=complex(lam[bad]),
         )
-
-    modes = (fhat / op.a_t).reshape(-1, lat.n_t)
-    lam_flat = lam.reshape(-1)
     h = lat.L_t / lat.n_t
-    z = -lam_flat * h
-    ez = np.exp(z)
+    z = -lam.reshape(-1) * h
     p1, p2 = _phi12(z)
-    w_left = h * (p1 - p2)
-    w_right = h * p2
+    return np.stack((np.exp(z), h * (p1 - p2), h * p2))
 
+
+def _duhamel_modes(
+    op: PeriodicParabolicOperator, weights: np.ndarray, rows, fhat: np.ndarray
+) -> np.ndarray:
+    """Duhamel solution on the spatial modes rows (flat indices, or
+    slice(None) for all) from the modes fhat of a supported forcing there,
+    one row of n_t time samples each; weights are _duhamel_weights of the
+    lattice.  Every mode is exactly 0 for t <= 0."""
+    ez, w_left, w_right = weights[:, rows]
+    modes = fhat / op.a_t
     u = np.zeros_like(modes)
-    j0 = lat.n_t // 2  # t = 0
-    for j in range(j0, lat.n_t - 1):
+    n_t = modes.shape[-1]
+    for j in range(n_t // 2, n_t - 1):  # from t = 0
         u[:, j + 1] = ez * u[:, j] + w_left * modes[:, j] + w_right * modes[:, j + 1]
-    return u.reshape(fhat.shape)
+    return u
 
 
 def solve_periodic(op: PeriodicParabolicOperator, f: GridFunction) -> GridFunction:
@@ -194,12 +231,12 @@ def solve_periodic(op: PeriodicParabolicOperator, f: GridFunction) -> GridFuncti
     The forcing must be supported in 0 <= t <= tau.  Raises StabilityError
     if any mode has Re lambda < 0 (a genuinely growing mode).
     """
-    _check_forcing(op, f)
     lat = f.lattice
-    axes = tuple(range(lat.k))
-    fhat = np.fft.fftn(f.samples, axes=axes, norm="ortho")
-    u = _duhamel_modes(op, lat, fhat)
-    return GridFunction(lat, np.fft.ifftn(u, axes=axes, norm="ortho"))
+    _check_forcing(op, lat, f.samples)
+    f = _spatial_modes(f)
+    u = _duhamel_modes(op, _duhamel_weights(op, lat), f.rows, f.modes)
+    u = np.fft.ifftn(u.reshape(lat.shape), axes=tuple(range(lat.k)), norm="ortho")
+    return GridFunction(lat, u)
 
 
 def _time_derivative(samples: np.ndarray, lat: Lattice, mode: str) -> np.ndarray:
@@ -276,7 +313,7 @@ def roundtrip_residual(op: PeriodicParabolicOperator, f: GridFunction) -> float:
 
 def two_sided_ratio(
     op: PeriodicParabolicOperator,
-    ensemble: Iterable[GridFunction],
+    ensemble: Iterable[GridFunction | _ModalForcing],
     sigma: float,
     phi: PhiFunction | None = None,
 ) -> tuple[float, float]:
@@ -287,12 +324,17 @@ def two_sided_ratio(
     ensemble may be any iterable, a generator included.  Each member is
     read once, in order, and the next one is drawn only after the current
     one's ratio is taken, so a generator keeps one member in memory at a
-    time (besides the one it is making).  The lattice, the plus-norm solver
-    and the forcing weight come from the first member.  Each member is
-    taken in spatial modes: one spatial transform of f feeds both its norm
-    and the Duhamel modes of u, which go to the plus-norm block stage
-    directly.  Up to rounding this equals solve_periodic, then
-    PlusNormSolver.solve, over hnorm of f, with the same refusals.
+    time (besides the one it is making).  The lattice, the plus-norm solver,
+    the forcing weight and the Duhamel weights come from the first member.
+    A member is a GridFunction, which takes one spatial transform and then
+    occupies every spatial mode, or a _ModalForcing, a forcing's spatial
+    modes on the rows it occupies (model-verify passes the band of each
+    synthesized forcing that way).  A spatial mode off those rows stays
+    exactly zero through the Duhamel solve and its own plus-norm block, so
+    the forcing norm, the Duhamel modes and the plus-norm blocks are taken
+    on the rows alone.  Up to rounding this equals solve_periodic, then
+    PlusNormSolver.solve, over hnorm of f, with the same refusals; the
+    stability refusal covers every mode of the lattice, not only the rows.
     """
     if phi is None:
         phi = constant_one()
@@ -304,6 +346,7 @@ def two_sided_ratio(
     if f is None:
         raise ValueError("ensemble must be nonempty")
     lat = f.lattice
+    weights = _duhamel_weights(op, lat)
     gamma = 1.0 / (2.0 * op.symbol.b)
     idx_u = AnisotropicIndex(sigma, gamma, phi)
     idx_f = AnisotropicIndex(sigma - order, gamma, phi)
@@ -312,32 +355,69 @@ def two_sided_ratio(
     # a time window is constant across x, so its masks commute with the
     # spatial DFT and the solution never leaves spatial modes
     assert solver.slab
-    w_f = weight_array(lat, idx_f)
-    axes = tuple(range(lat.k))
+    off_v = ~region.v_mask.reshape(-1, lat.n_t)[0]
+    w_f = weight_array(lat, idx_f).reshape(-1, lat.n_t)
     ratios = []
     while f is not None:
         if f.lattice != lat:
             raise ValueError("ensemble members live on different lattices")
-        _check_forcing(op, f)
-        fhat = np.fft.fftn(f.samples, axes=axes, norm="ortho")
-        fn = _parseval_norm(w_f * np.abs(np.fft.fft(fhat, axis=-1, norm="ortho")), lat)
+        f = _spatial_modes(f)
+        _check_forcing(op, lat, f.modes)
+        coeffs = np.fft.fft(f.modes, axis=-1, norm="ortho")
+        fn = _parseval_norm(w_f[f.rows] * np.abs(coeffs), lat)
         if fn == 0.0:
             raise ValueError("ensemble contains a zero forcing; ratio undefined")
-        u_modes = _duhamel_modes(op, lat, fhat)
-        ratios.append(solver._minimise(solver._expand(u_modes)) / fn)
+        u = _duhamel_modes(op, weights, f.rows, f.modes)
+        u[:, off_v] = 0.0  # the data on V
+        ratios.append(solver._minimise(u, f.rows) / fn)
         f = next(members, None)
     return float(min(ratios)), float(max(ratios))
 
 
 def _time_bump(lattice: Lattice, tau: float) -> np.ndarray:
-    """exp(-1/(y(1-y))) at y = t/tau inside (0, 1), 0 outside, shaped to
-    broadcast along the time axis."""
+    """exp(-1/(y(1-y))) at y = t/tau inside (0, 1), 0 outside, along the
+    time axis."""
     y = lattice.t_axis() / tau
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        bump = np.where(
+        return np.where(
             (y > 0.0) & (y < 1.0), np.exp(-1.0 / np.clip(y * (1.0 - y), 1e-300, None)), 0.0
         )
-    return bump.reshape((1,) * lattice.k + (lattice.n_t,))
+
+
+def _forcing_band(lattice: Lattice, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The spatial rows a synthesized forcing occupies (flat indices, C
+    order over the spatial axes) and its unscaled spatial modes there: the
+    seeded coefficients of mode numbers |m| <= 2 on every axis, inverse
+    transformed along time."""
+    rng = np.random.default_rng(seed)
+    k = lattice.k
+    band = 2
+    width = 2 * band + 1
+    coeff = rng.standard_normal((width,) * (k + 1)) + 1j * rng.standard_normal(
+        (width,) * (k + 1)
+    )
+    m = np.arange(-band, band + 1)
+    occupied, slot = np.unique(m % lattice.n_x, return_inverse=True)
+    bins = np.zeros((occupied.size,) * k + (lattice.n_t,), dtype=complex)
+    # (-1)**m_t aligns the index transform with the centered time window;
+    # where modes alias (n < 5) the last mode in C order wins
+    bins[np.ix_(*(slot,) * k, m % lattice.n_t)] = coeff * (-1.0) ** m
+    rows = np.ravel_multi_index(np.ix_(*(occupied,) * k), (lattice.n_x,) * k).ravel()
+    return rows, np.fft.ifft(bins, axis=-1, norm="ortho").reshape(rows.size, lattice.n_t)
+
+
+def _scale_forcing(values: np.ndarray, lattice: Lattice, tau: float) -> np.ndarray:
+    """The band's samples or modes (time last) times sqrt(N) and the bump."""
+    # exp(-1/(y(1-y))) peaks at exp(-4); rescale to O(1)
+    return values * math.sqrt(lattice.size) * (_time_bump(lattice, tau) * 54.6)
+
+
+def _forcing_modes(lattice: Lattice, tau: float, seed: int) -> _ModalForcing:
+    """synthesize_forcing(lattice, tau, seed) in modal form: its spatial
+    modes on the at most 5**k rows of its band, equal to the spatial
+    transform of its samples up to rounding."""
+    rows, modes = _forcing_band(lattice, seed)
+    return _ModalForcing(lattice, rows, _scale_forcing(modes, lattice, tau))
 
 
 def synthesize_forcing(lattice: Lattice, tau: float, seed: int) -> GridFunction:
@@ -347,21 +427,11 @@ def synthesize_forcing(lattice: Lattice, tau: float, seed: int) -> GridFunction:
     The spectral coefficients depend only on the integer mode numbers and
     the seed, so refining the lattice samples the same continuum function.
     """
-    rng = np.random.default_rng(seed)
-    k = lattice.k
-    band = 2
-    width = 2 * band + 1
-    coeff = rng.standard_normal((width,) * (k + 1)) + 1j * rng.standard_normal(
-        (width,) * (k + 1)
-    )
-    m = np.arange(-band, band + 1)
+    rows, modes = _forcing_band(lattice, seed)
     bins = np.zeros(lattice.shape, dtype=complex)
-    # (-1)**m_t aligns the index transform with the centered time window;
-    # where modes alias (n < 5) the last mode in C order wins
-    bins[np.ix_(*(m % n for n in lattice.shape))] = coeff * (-1.0) ** m
-    field = np.fft.ifftn(bins, norm="ortho") * math.sqrt(lattice.size)
-    # exp(-1/(y(1-y))) peaks at exp(-4); rescale to O(1)
-    return GridFunction(lattice, field * (_time_bump(lattice, tau) * 54.6))
+    bins.reshape(-1, lattice.n_t)[rows] = modes
+    field = np.fft.ifftn(bins, axes=tuple(range(lattice.k)), norm="ortho")
+    return GridFunction(lattice, _scale_forcing(field, lattice, tau))
 
 
 _GROWTH_LIMIT = 2.0

@@ -94,11 +94,13 @@ class PlusNormSolver:
     once, G = Q diag(ev) Q^T, keeps Q and 1/ev (not G), and every solve then
     takes two batched real matrix products.  `solve` is `_expand` (the
     checked data on V, zero elsewhere), the outer transform along the
-    spatial axes of a slab, `_minimise` (the block solve and the energy) and
-    the inverse outer transform of the extension.  Data of a slab that is
-    already in spatial modes, where only the norm is needed, goes through
-    `_expand` and `_minimise` alone.  A block condition number above 1e12
-    raises ConditioningError: the answer is refused rather than regularised.
+    spatial axes of a slab, `_minimise` over every block (the block solve and
+    the energy) and the inverse outer transform of the extension.  Data of a
+    slab that is already in spatial modes and occupies only some of them,
+    where only the norm is needed, goes to `_minimise` with those rows
+    alone: a block whose data vanishes has the zero minimiser.  A block
+    condition number above 1e12 raises ConditioningError: the answer is
+    refused rather than regularised.
     """
 
     def __init__(self, idx: AnisotropicIndex, region: RegionMask):
@@ -139,25 +141,28 @@ class PlusNormSolver:
 
     def solve(self, u_on_v) -> PlusNormResult:
         w = np.fft.fftn(self._expand(u_on_v), axes=self.outer_axes, norm="ortho")
-        norm = self._minimise(w)
+        norm = self._minimise(w.reshape(len(self.w2), -1), slice(None))
         w = np.fft.ifftn(w, axes=self.outer_axes, norm="ortho")
         return PlusNormResult(norm, GridFunction(self.lattice, w))
 
-    def _minimise(self, w: np.ndarray) -> float:
-        """Plus norm of the data w, given on the lattice after the outer
-        transform and zero on the free set.  The minimiser's values are
-        written into the free set of w in place."""
-        blocks = w.reshape(len(self.w2), -1)
-        shape, axes = self.w2.shape, self.block_axes
-        coeffs = np.fft.fftn(blocks.reshape(shape), axes=axes, norm="ortho")
-        m_fix = np.fft.ifftn(self.w2 * coeffs, axes=axes, norm="ortho").reshape(blocks.shape)
+    def _minimise(self, blocks: np.ndarray, rows) -> float:
+        """Plus norm of data that lives on the blocks rows (indices into the
+        blocks, or slice(None) for all of them) and vanishes on every other
+        block.  blocks holds one flattened block per row, after the outer
+        transform and zero on the free set; the minimiser's values are
+        written into its free set in place."""
+        w2 = self.w2[rows]
+        axes = self.block_axes
+        coeffs = np.fft.fftn(blocks.reshape(w2.shape), axes=axes, norm="ortho")
+        m_fix = np.fft.ifftn(w2 * coeffs, axes=axes, norm="ortho").reshape(blocks.shape)
         # real and imaginary parts as two real columns, so Q stays real
         rhs = m_fix[:, self.free]
         rhs = np.stack((rhs.real, rhs.imag), axis=-1)
-        x = self.Q @ (self.inv_ev * (self.Q.transpose(0, 2, 1) @ rhs))
+        q = self.Q[rows]
+        x = q @ (self.inv_ev[rows] * (q.transpose(0, 2, 1) @ rhs))
         blocks[:, self.free] = -(x[..., 0] + 1j * x[..., 1])
-        coeffs = np.fft.fftn(blocks.reshape(shape), axes=axes, norm="ortho")
-        energy = float(np.sum(self.w2 * np.abs(coeffs) ** 2))
+        coeffs = np.fft.fftn(blocks.reshape(w2.shape), axes=axes, norm="ortho")
+        energy = float(np.sum(w2 * np.abs(coeffs) ** 2))
         return math.sqrt(max(energy, 0.0) * self.lattice.cell_volume)
 
     def _expand(self, u_on_v) -> np.ndarray:

@@ -526,15 +526,15 @@ def test_model_verify_holds_one_forcing_at_a_time(capsys, heat_file, monkeypatch
     # the one before it is still alive, whatever the ensemble size
     made = []
     alive_at_call = []
-    synthesize = model_problem.synthesize_forcing
+    make_member = model_problem._forcing_modes
 
     def tracked(lattice, tau, seed):
         alive_at_call.append(sum(ref() is not None for ref in made))
-        f = synthesize(lattice, tau, seed)
+        f = make_member(lattice, tau, seed)
         made.append(weakref.ref(f))
         return f
 
-    monkeypatch.setattr(model_problem, "synthesize_forcing", tracked)
+    monkeypatch.setattr(model_problem, "_forcing_modes", tracked)
     code, _ = run_cli(
         capsys,
         ["model-verify", heat_file, "--sigma", "4", "--ensemble", "6", "--refine", "1",
@@ -600,3 +600,17 @@ def test_embed_check_radial_overflow_writes_only_its_refusal(capsys, monkeypatch
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("n", ["200", "300", "400"])
+def test_embed_check_radial_quadrature_breakdown_writes_only_its_refusal(capsys, monkeypatch, n):
+    # the quadrature's integrand overflowed to nan, and scipy's
+    # IntegrationWarning came before the refusal
+    monkeypatch.setattr(embedding, "_CALIBRATION_CACHE", {})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["embed-check", "--phi", "1", "--n", n, "--radial"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: radial reduction overflows double precision at n = {n}, s = {int(n) / 2 + 1}\n"

@@ -368,3 +368,108 @@ def test_two_sided_ratio_refuses_generator_member_on_other_lattice(heat_op):
 
     with pytest.raises(ValueError, match="different lattices"):
         mp.two_sided_ratio(heat_op, members(), 4.0)
+
+
+def _window_op(k):
+    # tau = 0.4 L_t puts the time sample at L_t/4 inside the bump even at n_t = 4
+    return mp.PeriodicParabolicOperator(
+        symbol=heat_symbol(k), L_x=2 * math.pi, tau=0.8 * math.pi
+    )
+
+
+_MODAL_LATTICES = [
+    (k, n_x, n_t) for k in (1, 2, 3) for n_x, n_t in ((2, 4), (4, 4), (4, 8), (8, 16))
+] + [(2, 16, 32)]
+
+
+@pytest.mark.parametrize("k,n_x,n_t", _MODAL_LATTICES)
+def test_modal_members_match_grid_members_and_public_steps(k, n_x, n_t):
+    # n = 2 and n = 4 alias band modes onto shared rows
+    op = _window_op(k)
+    lat = sp.Lattice(k=k, n_x=n_x, n_t=n_t, L_x=2 * math.pi, L_t=2 * math.pi)
+    phi = cm.log_power([1])
+    seeds = range(3)
+    grids = [mp.synthesize_forcing(lat, op.tau, seed) for seed in seeds]
+    for seed, f in zip(seeds, grids):
+        m = mp._forcing_modes(lat, op.tau, seed)
+        assert m.modes.shape == (min(n_x, 5) ** k, n_t)
+        fhat = np.fft.fftn(f.samples, axes=tuple(range(k)), norm="ortho").reshape(-1, n_t)
+        np.testing.assert_allclose(m.modes, fhat[m.rows], rtol=0, atol=1e-13 * np.abs(fhat).max())
+        assert np.abs(np.delete(fhat, m.rows, axis=0)).max(initial=0.0) <= 1e-13 * np.abs(fhat).max()
+    modal = mp.two_sided_ratio(op, (mp._forcing_modes(lat, op.tau, s) for s in seeds), 4.0, phi)
+    grid = mp.two_sided_ratio(op, grids, 4.0, phi)
+    public = [_ratio_by_public_steps(op, f, 4.0, phi) for f in grids]
+    assert modal == pytest.approx(grid, rel=1e-13)
+    assert modal == pytest.approx((min(public), max(public)), rel=1e-13)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_modal_member_without_samples_in_the_window_is_refused_like_its_grid(k):
+    # at n_t = 2 no time sample lies inside (0, tau): both forms are zero
+    op = _window_op(k)
+    lat = sp.Lattice(k=k, n_x=4, n_t=2, L_x=2 * math.pi, L_t=2 * math.pi)
+    for member in (mp._forcing_modes(lat, op.tau, 0), mp.synthesize_forcing(lat, op.tau, 0)):
+        with pytest.raises(ValueError, match="zero forcing"):
+            mp.two_sided_ratio(op, [member], 4.0)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_modal_member_transforms_touch_only_its_band(k, monkeypatch):
+    # per member, every transform (making the band, its norm, its plus-norm
+    # blocks) stays on the 5**k occupied rows; the lattice has 8**k
+    sizes = []
+
+    def spying(fn):
+        def wrapper(a, *args, **kwargs):
+            sizes.append(np.asarray(a).size)
+            return fn(a, *args, **kwargs)
+
+        return wrapper
+
+    for name in ("fft", "ifft", "fftn", "ifftn"):
+        monkeypatch.setattr(np.fft, name, spying(getattr(np.fft, name)))
+    op = _heat_op(k)
+    lat = sp.Lattice(k=k, n_x=8, n_t=16, L_x=2 * math.pi, L_t=2 * math.pi)
+    counts = []
+    for size in (1, 3):
+        sizes.clear()
+        mp.two_sided_ratio(op, (mp._forcing_modes(lat, op.tau, s) for s in range(size)), 4.0)
+        counts.append(list(sizes))
+    per_member = counts[1][len(counts[0]):]
+    assert per_member
+    assert max(per_member) <= 5**k * lat.n_t < lat.size
+
+
+def _modal_member(lat, rows, modes):
+    return mp._ModalForcing(lat, np.asarray(rows), np.asarray(modes, dtype=complex))
+
+
+def test_hand_built_modal_members_are_refused(heat_op):
+    lat = _lattice(8, 16)
+    bump = mp._time_bump(lat, heat_op.tau)
+    good = _modal_member(lat, [0, 9], np.stack((bump, 2j * bump)))
+    c1, c2 = mp.two_sided_ratio(heat_op, [good], 4.0)
+    assert c1 == c2 > 0
+    # support outside (0, tau)
+    early = _modal_member(lat, [9], np.ones((1, lat.n_t)))
+    with pytest.raises(ValueError, match="not supported"):
+        mp.two_sided_ratio(heat_op, [good, early], 4.0)
+    # another lattice
+    fine = lat.refine(2, 2)
+    other = _modal_member(fine, [0], mp._time_bump(fine, heat_op.tau)[None])
+    with pytest.raises(ValueError, match="different lattices"):
+        mp.two_sided_ratio(heat_op, [good, other], 4.0)
+    # a growing mode off the member's rows: xi = 0 has lambda = -1, and the
+    # member only occupies xi = (1, 1), where lambda = 1
+    shifted = mp.PeriodicParabolicOperator(
+        symbol=heat_symbol(), L_x=2 * math.pi, tau=math.pi / 2, lower_order={(0, 0): -1.0}
+    )
+    away = _modal_member(lat, [9], bump[None])
+    with pytest.raises(StabilityError) as info:
+        mp.two_sided_ratio(shifted, [away], 4.0)
+    assert info.value.lam == pytest.approx(-1.0)
+    # malformed modes
+    with pytest.raises(ValueError, match="n_t time samples"):
+        _modal_member(lat, [0, 9], bump[None])
+    with pytest.raises(ValueError, match="finite"):
+        _modal_member(lat, [9], np.full((1, lat.n_t), np.nan))
