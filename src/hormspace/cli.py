@@ -291,8 +291,10 @@ def _cmd_model_verify(args) -> tuple[dict, int]:
 
     def ensemble(lattice):
         # each member is the band of spatial modes its synthesize_forcing
-        # sample occupies, drawn one at a time
-        return (model_problem._forcing_modes(lattice, tau, seed + i) for i in range(n_ens))
+        # sample occupies, drawn one at a time; where the band lies is the
+        # lattice's, found once
+        layout = model_problem._band_layout(lattice, tau)
+        return (model_problem._forcing_modes(lattice, layout, seed + i) for i in range(n_ens))
 
     c1, c2 = model_problem.two_sided_ratio(op, ensemble(lat), sigma, phi)
     # synthesize_forcing is deterministic: this is the ensemble's first member

@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -384,40 +385,54 @@ def _time_bump(lattice: Lattice, tau: float) -> np.ndarray:
         )
 
 
-def _forcing_band(lattice: Lattice, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """The spatial rows a synthesized forcing occupies (flat indices, C
-    order over the spatial axes) and its unscaled spatial modes there: the
-    seeded coefficients of mode numbers |m| <= 2 on every axis, inverse
-    transformed along time."""
-    rng = np.random.default_rng(seed)
+class _BandLayout(NamedTuple):
+    """Where a synthesized forcing lies on one lattice, the same for every
+    seed: the spatial rows of its band (flat indices, C order over the
+    spatial axes), the index of its mode numbers |m| <= 2 into (rows, time),
+    and its time bump."""
+
+    rows: np.ndarray
+    where: tuple
+    bump: np.ndarray
+
+
+def _band_layout(lattice: Lattice, tau: float) -> _BandLayout:
+    """The layout of every forcing synthesized on lattice for window tau."""
     k = lattice.k
-    band = 2
-    width = 2 * band + 1
-    coeff = rng.standard_normal((width,) * (k + 1)) + 1j * rng.standard_normal(
-        (width,) * (k + 1)
-    )
-    m = np.arange(-band, band + 1)
+    m = np.arange(-2, 3)
     occupied, slot = np.unique(m % lattice.n_x, return_inverse=True)
-    bins = np.zeros((occupied.size,) * k + (lattice.n_t,), dtype=complex)
+    rows = np.ravel_multi_index(np.ix_(*(occupied,) * k), (lattice.n_x,) * k).ravel()
+    slot = np.ravel_multi_index(np.ix_(*(slot,) * k), (occupied.size,) * k)
+    # exp(-1/(y(1-y))) peaks at exp(-4); rescale to O(1)
+    return _BandLayout(rows, (slot[..., None], m % lattice.n_t), _time_bump(lattice, tau) * 54.6)
+
+
+def _forcing_band(lattice: Lattice, layout: _BandLayout, seed: int) -> np.ndarray:
+    """A synthesized forcing's unscaled spatial modes on the rows of its
+    band: the seeded coefficients of mode numbers |m| <= 2 on every axis,
+    inverse transformed along time."""
+    rng = np.random.default_rng(seed)
+    width = (5,) * (lattice.k + 1)
+    coeff = rng.standard_normal(width) + 1j * rng.standard_normal(width)
+    bins = np.zeros((layout.rows.size, lattice.n_t), dtype=complex)
     # (-1)**m_t aligns the index transform with the centered time window;
     # where modes alias (n < 5) the last mode in C order wins
-    bins[np.ix_(*(slot,) * k, m % lattice.n_t)] = coeff * (-1.0) ** m
-    rows = np.ravel_multi_index(np.ix_(*(occupied,) * k), (lattice.n_x,) * k).ravel()
-    return rows, np.fft.ifft(bins, axis=-1, norm="ortho").reshape(rows.size, lattice.n_t)
+    bins[layout.where] = coeff * (-1.0) ** np.arange(-2, 3)
+    return np.fft.ifft(bins, axis=-1, norm="ortho")
 
 
-def _scale_forcing(values: np.ndarray, lattice: Lattice, tau: float) -> np.ndarray:
+def _scale_forcing(values: np.ndarray, lattice: Lattice, layout: _BandLayout) -> np.ndarray:
     """The band's samples or modes (time last) times sqrt(N) and the bump."""
-    # exp(-1/(y(1-y))) peaks at exp(-4); rescale to O(1)
-    return values * math.sqrt(lattice.size) * (_time_bump(lattice, tau) * 54.6)
+    return values * math.sqrt(lattice.size) * layout.bump
 
 
-def _forcing_modes(lattice: Lattice, tau: float, seed: int) -> _ModalForcing:
-    """synthesize_forcing(lattice, tau, seed) in modal form: its spatial
-    modes on the at most 5**k rows of its band, equal to the spatial
-    transform of its samples up to rounding."""
-    rows, modes = _forcing_band(lattice, seed)
-    return _ModalForcing(lattice, rows, _scale_forcing(modes, lattice, tau))
+def _forcing_modes(lattice: Lattice, layout: _BandLayout, seed: int) -> _ModalForcing:
+    """synthesize_forcing(lattice, tau, seed) in modal form, for layout =
+    _band_layout(lattice, tau): its spatial modes on the at most 5**k rows
+    of its band, equal to the spatial transform of its samples up to
+    rounding."""
+    modes = _scale_forcing(_forcing_band(lattice, layout, seed), lattice, layout)
+    return _ModalForcing(lattice, layout.rows, modes)
 
 
 def synthesize_forcing(lattice: Lattice, tau: float, seed: int) -> GridFunction:
@@ -427,11 +442,11 @@ def synthesize_forcing(lattice: Lattice, tau: float, seed: int) -> GridFunction:
     The spectral coefficients depend only on the integer mode numbers and
     the seed, so refining the lattice samples the same continuum function.
     """
-    rows, modes = _forcing_band(lattice, seed)
+    layout = _band_layout(lattice, tau)
     bins = np.zeros(lattice.shape, dtype=complex)
-    bins.reshape(-1, lattice.n_t)[rows] = modes
+    bins.reshape(-1, lattice.n_t)[layout.rows] = _forcing_band(lattice, layout, seed)
     field = np.fft.ifftn(bins, axes=tuple(range(lattice.k)), norm="ortho")
-    return GridFunction(lattice, _scale_forcing(field, lattice, tau))
+    return GridFunction(lattice, _scale_forcing(field, lattice, layout))
 
 
 _GROWTH_LIMIT = 2.0

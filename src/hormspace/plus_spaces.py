@@ -10,10 +10,12 @@ SIAM Rev. 38, 1996).  When both masks are constant across the spatial axes
 ("time slabs") the problem decouples after a spatial DFT into one small
 block per spatial mode, the fast path used by the model-problem module;
 any other region is one block over the whole lattice.  The squared weight
-is even, so every block is real symmetric; one eigendecomposition per block
-at setup gives both the condition number and the factorization that every
-later solve reuses.  Normal equations with condition number above 1e12 are
-refused with ConditioningError, never regularised.
+is even, so every block is real symmetric.  It sees a spatial mode only
+through |xi|, so slab blocks repeat; one eigendecomposition per distinct
+block at setup gives both the condition number of every block and the
+factorization that every later solve reuses.  Normal equations with
+condition number above 1e12 are refused with ConditioningError, never
+regularised.
 """
 
 from __future__ import annotations
@@ -90,17 +92,20 @@ class PlusNormSolver:
     G[i, j] = ifftn(w**2)[(x_i - x_j) mod shape].  A time-slab region is
     first transformed along the spatial axes and splits into one block of
     shape (n_t,) per spatial mode; any other region is one block of shape
-    lattice.shape.  The blocks are real symmetric: setup decomposes each
-    once, G = Q diag(ev) Q^T, keeps Q and 1/ev (not G), and every solve then
-    takes two batched real matrix products.  `solve` is `_expand` (the
-    checked data on V, zero elsewhere), the outer transform along the
-    spatial axes of a slab, `_minimise` over every block (the block solve and
-    the energy) and the inverse outer transform of the extension.  Data of a
-    slab that is already in spatial modes and occupies only some of them,
-    where only the norm is needed, goes to `_minimise` with those rows
-    alone: a block whose data vanishes has the zero minimiser.  A block
-    condition number above 1e12 raises ConditioningError: the answer is
-    refused rather than regularised.
+    lattice.shape.  The blocks are real symmetric, and rows with the same
+    bytes of w**2 share one: setup decomposes each distinct block once,
+    G = Q diag(ev) Q^T, keeps Q and 1/ev (not G) and the class `cls` of
+    every row, and every solve then takes two batched real matrix products
+    (146 distinct blocks of 1024 at 32**2 x 64, one at s = 0 with phi = 1).
+    `solve` is `_expand` (the checked data on V, zero elsewhere), the outer
+    transform along the spatial axes of a slab, `_minimise` over every block
+    (the block solve and the energy) and the inverse outer transform of the
+    extension.  Data of a slab that is already in spatial modes and
+    occupies only some of them, where only the norm is needed, goes to
+    `_minimise` with those rows alone: a block whose data vanishes has the
+    zero minimiser.  A block condition number above 1e12, or an infinite
+    one, raises ConditioningError: the answer is refused rather than
+    regularised.
     """
 
     def __init__(self, idx: AnisotropicIndex, region: RegionMask):
@@ -117,20 +122,28 @@ class PlusNormSolver:
         self.block_axes = tuple(range(1, len(block_shape) + 1))
         self.w2 = (weight_array(lat, idx) ** 2).reshape((-1,) + block_shape)
         n_blocks = len(self.w2)
+        # rows with equal bytes share one block: each distinct row is
+        # factored once, and cls[row] is its class
+        w2_rows = self.w2.reshape(n_blocks, -1)
+        key = w2_rows.view(np.dtype((np.void, w2_rows.shape[1] * w2_rows.itemsize)))[:, 0]
+        _, first, self.cls = np.unique(key, return_index=True, return_inverse=True)
         # all slab rows share one free set; a general region has one row
         self.free = np.flatnonzero(self.free_mask.reshape(n_blocks, -1)[0])
         diff = np.zeros((self.free.size, self.free.size), dtype=np.intp)
         for c, n in zip(np.unravel_index(self.free, block_shape), block_shape):
             diff = diff * n + (c[:, None] - c[None, :]) % n
         # w**2 is even in every frequency, so its inverse DFT is real
-        kernel = np.fft.ifftn(self.w2, axes=self.block_axes).real.reshape(n_blocks, -1)
+        kernel = np.fft.ifftn(self.w2[first], axes=self.block_axes).real.reshape(first.size, -1)
         gram = kernel[:, diff]
         del diff  # nf**2 indices, freed before eigh allocates its workspace
         ev, self.Q = np.linalg.eigh(gram)
-        # an empty free set leaves nothing to solve
-        self.max_cond = (
-            float(np.max(ev[:, -1] / np.maximum(ev[:, 0], 1e-300))) if self.free.size else 1.0
-        )
+        # identical blocks have identical spectra, so this covers every row;
+        # an empty free set leaves nothing to solve, and a smallest
+        # eigenvalue at or below 0 may overflow the quotient to inf
+        with np.errstate(over="ignore"):
+            self.max_cond = (
+                float(np.max(ev[:, -1] / np.maximum(ev[:, 0], 1e-300))) if self.free.size else 1.0
+            )
         if not self.max_cond <= _COND_LIMIT:
             raise ConditioningError(
                 f"normal equations have condition number {self.max_cond:.3g} > "
@@ -158,8 +171,11 @@ class PlusNormSolver:
         # real and imaginary parts as two real columns, so Q stays real
         rhs = m_fix[:, self.free]
         rhs = np.stack((rhs.real, rhs.imag), axis=-1)
-        q = self.Q[rows]
-        x = q @ (self.inv_ev[rows] * (q.transpose(0, 2, 1) @ rhs))
+        # a block shared by every row (a general region, or s = 0) is
+        # broadcast, not copied once per row
+        cls = slice(None) if len(self.Q) == 1 else self.cls[rows]
+        q = self.Q[cls]
+        x = q @ (self.inv_ev[cls] * (q.transpose(0, 2, 1) @ rhs))
         blocks[:, self.free] = -(x[..., 0] + 1j * x[..., 1])
         coeffs = np.fft.fftn(blocks.reshape(w2.shape), axes=axes, norm="ortho")
         energy = float(np.sum(w2 * np.abs(coeffs) ** 2))

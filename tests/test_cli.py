@@ -528,9 +528,9 @@ def test_model_verify_holds_one_forcing_at_a_time(capsys, heat_file, monkeypatch
     alive_at_call = []
     make_member = model_problem._forcing_modes
 
-    def tracked(lattice, tau, seed):
+    def tracked(lattice, layout, seed):
         alive_at_call.append(sum(ref() is not None for ref in made))
-        f = make_member(lattice, tau, seed)
+        f = make_member(lattice, layout, seed)
         made.append(weakref.ref(f))
         return f
 

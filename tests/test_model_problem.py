@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import backward_heat_symbol, heat_symbol, squared_heat_symbol
 from hormspace import class_m as cm
@@ -95,6 +97,43 @@ def test_linearity(heat_op):
     expect = 2.0 * u1.samples + 1.5j * u2.samples
     scale = np.max(np.abs(expect))
     assert np.max(np.abs(ucomb.samples - expect)) <= 1e-12 * scale
+
+
+def _window_forcing(lat, tau, seed, start):
+    """Random complex samples on start < t <= tau, zero elsewhere."""
+    rng = np.random.default_rng(seed)
+    t = lat.t_axis()
+    on = (t > start) & (t <= tau)
+    return sp.GridFunction(lat, (rng.standard_normal(lat.shape) + 1j * rng.standard_normal(lat.shape)) * on)
+
+
+_solve_args = {
+    "n_x": st.sampled_from([2, 4, 8]),
+    "n_t": st.sampled_from([4, 8, 16, 32]),
+    "seed": st.integers(0, 2**16),
+}
+
+
+@settings(max_examples=25, deadline=None)
+@given(**_solve_args, quiet=st.floats(0.0, 1.0))
+def test_solution_is_zero_until_the_forcing_starts(heat_op, n_x, n_t, seed, quiet):
+    # u = 0 for t <= 0, and a forcing that is zero on [0, t1] leaves u = 0 there
+    lat = _lattice(n_x, n_t)
+    t1 = quiet * heat_op.tau
+    u = mp.solve_periodic(heat_op, _window_forcing(lat, heat_op.tau, seed, t1)).samples
+    t = lat.t_axis()
+    assert np.all(u[..., t <= t1] == 0.0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(**_solve_args, a=st.complex_numbers(max_magnitude=10.0), b=st.complex_numbers(max_magnitude=10.0))
+def test_solution_is_linear_in_the_forcing(heat_op, n_x, n_t, seed, a, b):
+    lat = _lattice(n_x, n_t)
+    f, g = (_window_forcing(lat, heat_op.tau, seed + i, 0.0) for i in (0, 1))
+    uf, ug = (mp.solve_periodic(heat_op, h).samples for h in (f, g))
+    got = mp.solve_periodic(heat_op, sp.GridFunction(lat, a * f.samples + b * g.samples)).samples
+    scale = (abs(a) + abs(b)) * max(np.max(np.abs(uf)), np.max(np.abs(ug)))
+    assert np.max(np.abs(got - (a * uf + b * ug))) <= 1e-12 * scale
 
 
 def test_sine_forcing_second_order_convergence(heat_op):
@@ -390,13 +429,14 @@ def test_modal_members_match_grid_members_and_public_steps(k, n_x, n_t):
     phi = cm.log_power([1])
     seeds = range(3)
     grids = [mp.synthesize_forcing(lat, op.tau, seed) for seed in seeds]
+    layout = mp._band_layout(lat, op.tau)
     for seed, f in zip(seeds, grids):
-        m = mp._forcing_modes(lat, op.tau, seed)
+        m = mp._forcing_modes(lat, layout, seed)
         assert m.modes.shape == (min(n_x, 5) ** k, n_t)
         fhat = np.fft.fftn(f.samples, axes=tuple(range(k)), norm="ortho").reshape(-1, n_t)
         np.testing.assert_allclose(m.modes, fhat[m.rows], rtol=0, atol=1e-13 * np.abs(fhat).max())
         assert np.abs(np.delete(fhat, m.rows, axis=0)).max(initial=0.0) <= 1e-13 * np.abs(fhat).max()
-    modal = mp.two_sided_ratio(op, (mp._forcing_modes(lat, op.tau, s) for s in seeds), 4.0, phi)
+    modal = mp.two_sided_ratio(op, (mp._forcing_modes(lat, layout, s) for s in seeds), 4.0, phi)
     grid = mp.two_sided_ratio(op, grids, 4.0, phi)
     public = [_ratio_by_public_steps(op, f, 4.0, phi) for f in grids]
     assert modal == pytest.approx(grid, rel=1e-13)
@@ -408,7 +448,8 @@ def test_modal_member_without_samples_in_the_window_is_refused_like_its_grid(k):
     # at n_t = 2 no time sample lies inside (0, tau): both forms are zero
     op = _window_op(k)
     lat = sp.Lattice(k=k, n_x=4, n_t=2, L_x=2 * math.pi, L_t=2 * math.pi)
-    for member in (mp._forcing_modes(lat, op.tau, 0), mp.synthesize_forcing(lat, op.tau, 0)):
+    modal = mp._forcing_modes(lat, mp._band_layout(lat, op.tau), 0)
+    for member in (modal, mp.synthesize_forcing(lat, op.tau, 0)):
         with pytest.raises(ValueError, match="zero forcing"):
             mp.two_sided_ratio(op, [member], 4.0)
 
@@ -430,10 +471,11 @@ def test_modal_member_transforms_touch_only_its_band(k, monkeypatch):
         monkeypatch.setattr(np.fft, name, spying(getattr(np.fft, name)))
     op = _heat_op(k)
     lat = sp.Lattice(k=k, n_x=8, n_t=16, L_x=2 * math.pi, L_t=2 * math.pi)
+    layout = mp._band_layout(lat, op.tau)
     counts = []
     for size in (1, 3):
         sizes.clear()
-        mp.two_sided_ratio(op, (mp._forcing_modes(lat, op.tau, s) for s in range(size)), 4.0)
+        mp.two_sided_ratio(op, (mp._forcing_modes(lat, layout, s) for s in range(size)), 4.0)
         counts.append(list(sizes))
     per_member = counts[1][len(counts[0]):]
     assert per_member

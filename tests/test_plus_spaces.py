@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -107,6 +108,80 @@ def test_conditioning_just_below_the_limit_matches_oracle():
     solver = ps.PlusNormSolver(idx, region)
     assert 1e11 < solver.max_cond <= ps._COND_LIMIT
     assert solver.solve(u).norm == pytest.approx(oracle_plus_norm(u, idx, region), rel=1e-8)
+
+
+def _per_row_blocks(idx, region):
+    """Q and the eigenvalues of every block of a slab region, one eigh per
+    spatial mode: the arithmetic of a solver that shares no block."""
+    lat = region.lattice
+    w2 = (sp.weight_array(lat, idx) ** 2).reshape(-1, lat.n_t)
+    free = np.flatnonzero((region.t_nonneg_mask & ~region.v_mask).reshape(-1, lat.n_t)[0])
+    kernel = np.fft.ifft(w2, axis=-1).real
+    gram = kernel[:, (free[:, None] - free[None, :]) % lat.n_t]
+    pairs = [np.linalg.eigh(g) for g in gram]
+    return np.array([q for _, q in pairs]), np.array([ev for ev, _ in pairs])
+
+
+def _max_cond(ev):
+    return float(np.max(ev[:, -1] / np.maximum(ev[:, 0], 1e-300)))
+
+
+@pytest.mark.parametrize(
+    "k,n_x,n_t,L_x,s,n_distinct",
+    [
+        (2, 32, 64, 2 * math.pi, 1.8, 146),
+        (3, 16, 32, 2 * math.pi, 3.0, 138),
+        (2, 16, 32, 3.0, 1.8, 45),  # |xi| repeats, yet not always in the same floats
+        (2, 8, 16, 2 * math.pi, 0.0, 1),  # the weight is 1 everywhere
+    ],
+)
+def test_shared_blocks_equal_per_row_arithmetic(k, n_x, n_t, L_x, s, n_distinct):
+    # rows with equal weights are factored once; gathered back to the rows,
+    # the factors, the refusal number and every solve equal the per-row ones
+    lat = sp.Lattice(k=k, n_x=n_x, n_t=n_t, L_x=L_x, L_t=2 * math.pi)
+    region = ps.time_window_region(lat, 0.0, lat.L_t / 4)
+    idx = sp.AnisotropicIndex(s, 0.5)
+    solver = ps.PlusNormSolver(idx, region)
+    w2_rows = (sp.weight_array(lat, idx) ** 2).reshape(-1, n_t)
+    assert len(solver.Q) == len(solver.inv_ev) == n_distinct
+    assert n_distinct == len(np.unique(w2_rows, axis=0))
+    q_ref, ev_ref = _per_row_blocks(idx, region)
+    assert np.array_equal(solver.Q[solver.cls], q_ref)
+    assert np.array_equal(solver.inv_ev[solver.cls], 1.0 / ev_ref[..., None])
+    assert solver.max_cond == _max_cond(ev_ref)
+    per_row = copy.copy(solver)
+    per_row.Q, per_row.inv_ev = q_ref, 1.0 / ev_ref[..., None]
+    per_row.cls = np.arange(len(w2_rows))
+    u = _data(region, np.random.default_rng(n_x + k))
+    got, want = solver.solve(u), per_row.solve(u)
+    assert got.norm == want.norm
+    assert np.array_equal(got.extension.samples, want.extension.samples)
+
+
+def test_refusal_covers_every_row_of_a_shared_slab():
+    # 64 spatial modes share 15 blocks; the refusal number is the largest
+    # over all 64 rows, just below the limit at s = 20.2 and above at 20.4
+    lat = sp.Lattice(k=2, n_x=8, n_t=64, L_x=2 * math.pi, L_t=2 * math.pi)
+    region = ps.time_window_region(lat, 0.0, lat.L_t / 4)
+    below = sp.AnisotropicIndex(20.2, 0.5)
+    solver = ps.PlusNormSolver(below, region)
+    assert len(solver.Q) == 15
+    assert 0.9 * ps._COND_LIMIT < solver.max_cond == _max_cond(_per_row_blocks(below, region)[1])
+    above = sp.AnisotropicIndex(20.4, 0.5)
+    with pytest.raises(ConditioningError) as err:
+        ps.PlusNormSolver(above, region)
+    assert err.value.condition_number > ps._COND_LIMIT
+    assert err.value.condition_number == _max_cond(_per_row_blocks(above, region)[1])
+
+
+def test_singular_slab_is_refused_without_overflow_warning():
+    # a smallest eigenvalue at or below 0 makes the condition number infinite;
+    # the refusal says so, with no overflow warning on the way
+    lat = sp.Lattice(k=1, n_x=8, n_t=64, L_x=2 * math.pi, L_t=2 * math.pi)
+    region = ps.time_window_region(lat, 0.0, lat.L_t / 4)
+    with pytest.raises(ConditioningError) as err:
+        ps.PlusNormSolver(sp.AnisotropicIndex(20.0, 1.0), region)
+    assert err.value.condition_number == math.inf
 
 
 def _region(kind, seed, n_t=16):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hormspace import class_m as cm
 from hormspace import spectra as sp
@@ -178,3 +180,22 @@ def test_grid_shape_validation(small_lattice):
         sp.GridFunction(small_lattice, np.zeros((3, 3)))
     with pytest.raises(ValueError):
         sp.SpectralField(small_lattice, np.zeros((8, 9)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    k=st.integers(1, 3),
+    n_x=st.sampled_from([2, 4, 8]),
+    n_t=st.sampled_from([2, 4, 8, 16]),
+    L_t=st.floats(0.5, 20.0),
+    seed=st.integers(0, 2**16),
+)
+def test_dft_keeps_the_l2_norm_and_idft_inverts_it(k, n_x, n_t, L_t, seed):
+    lat = sp.Lattice(k=k, n_x=n_x, n_t=n_t, L_x=2 * math.pi, L_t=L_t)
+    rng = np.random.default_rng(seed)
+    g = sp.GridFunction(lat, rng.standard_normal(lat.shape) + 1j * rng.standard_normal(lat.shape))
+    field = sp.dft(g)
+    energy = float(np.sum(np.abs(g.samples) ** 2))
+    assert float(np.sum(np.abs(field.coeffs) ** 2)) == pytest.approx(energy, rel=1e-12)
+    back = sp.idft(field).samples
+    assert np.max(np.abs(back - g.samples)) <= 1e-13 * np.max(np.abs(g.samples))
