@@ -18,8 +18,8 @@ import numpy as np
 
 from .class_m import PhiFunction, eval_phi
 from .plus_spaces import RegionMask, plus_norm
-from .spectra import AnisotropicIndex, GridFunction, Lattice, hnorm, r_gamma_array
-from .spectra import _weighted_coeffs, _weighted_norm
+from .spectra import AnisotropicIndex, GridFunction, Lattice, r_gamma_array
+from .spectra import _parseval_norm, _weight, _weighted_coeffs, _weighted_norm
 
 __all__ = [
     "DiagonalPair",
@@ -141,14 +141,20 @@ def verify_lemma71(
 
     The identity psi(r**(s1-s0)) = r**(s-s0) * phi(r) makes the two norms
     equal pointwise in frequency, so the ratio is 1 up to rounding.  A zero
-    input returns 1 by convention.
+    input returns 1 by convention.  The arithmetic is that of
+    interp_norm(g, pair, p) / hnorm(g, idx), with one transform of g and
+    one r_gamma array shared by both norms.
     """
-    pair = sobolev_pair(g.lattice, s0, s1, gamma)
+    lat = g.lattice
+    r = r_gamma_array(lat, gamma)
+    pair = DiagonalPair(lat, r**s0, r**s1)
     p = build_psi(s0, s, s1, phi)
-    denom = hnorm(g, AnisotropicIndex(s, gamma, phi))
+    idx = AnisotropicIndex(s, gamma, phi)
+    mag = np.abs(np.fft.fftn(g.samples, norm="ortho"))
+    denom = _parseval_norm(_weight(r, idx) * mag, lat)
     if denom == 0.0:
         return 1.0
-    return interp_norm(g, pair, p) / denom
+    return _parseval_norm(_interp_weight(pair, p) * mag, lat) / denom
 
 
 def interp_subspace_norm(

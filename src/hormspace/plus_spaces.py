@@ -12,9 +12,15 @@ block per spatial mode, the fast path used by the model-problem module;
 any other region is one block over the whole lattice.  The squared weight
 is even, so every block is real symmetric.  It sees a spatial mode only
 through |xi|, so slab blocks repeat; one eigendecomposition per distinct
-block at setup gives both the condition number of every block and the
-factorization that every later solve reuses.  Normal equations with
-condition number above 1e12 are refused with ConditioningError, never
+slab block at setup gives the exact condition number of every block and
+the factorization that the many later solves reuse.  The one block of a
+general region is solved once per setup, so it is factored by Cholesky
+instead, and its refusal number is a certified upper bound on the
+condition number: the eigenvalues of a principal submatrix of the
+circulant lie in [min w**2, max w**2], Gershgorin bounds the largest by
+the largest absolute row sum, and trace(G^-1) = ||L^-1||_F**2 bounds the
+inverse of the smallest.  Normal equations with condition number (exact,
+or bound) above 1e12 are refused with ConditioningError, never
 regularised.
 """
 
@@ -83,6 +89,29 @@ def _is_time_slab(mask: np.ndarray, n_t: int) -> bool:
     return bool(np.all(rows == rows[0]))
 
 
+def _cholesky_inverse_factor(gram: np.ndarray, w2_max: float):
+    """(bound, R) for one nonempty real symmetric block G = L L^T, where
+    R = L^-T has shape (1,) + G.shape, so that R R^T = G^-1, and bound is a
+    certified upper bound on cond(G): lambda_max <= min(max w**2, the
+    largest absolute row sum) (G is a principal submatrix of a circulant
+    with eigenvalues w**2, and Gershgorin), and 1/lambda_min <= trace(G^-1)
+    = ||L^-1||_F**2.  A failed factorization gives (inf, None).  G is
+    overwritten."""
+    from scipy.linalg.lapack import dpotrf, dtrtri
+
+    lam_max = min(w2_max, float(np.linalg.norm(gram, np.inf)))
+    # gram.T is the Fortran-ordered view of the same symmetric matrix, so
+    # LAPACK works in place
+    low, info = dpotrf(gram.T, lower=1, overwrite_a=1)
+    if info:
+        return math.inf, None
+    low_inv, _ = dtrtri(low, lower=1, overwrite_c=1)
+    flat = low_inv.ravel(order="K")
+    with np.errstate(over="ignore"):
+        bound = float(lam_max * (flat @ flat))
+    return bound, low_inv.T[None]
+
+
 class PlusNormSolver:
     """Reusable least-norm solver for a fixed (index, region) pair.
 
@@ -93,10 +122,14 @@ class PlusNormSolver:
     first transformed along the spatial axes and splits into one block of
     shape (n_t,) per spatial mode; any other region is one block of shape
     lattice.shape.  The blocks are real symmetric, and rows with the same
-    bytes of w**2 share one: setup decomposes each distinct block once,
+    bytes of w**2 share one: setup decomposes each distinct slab block once,
     G = Q diag(ev) Q^T, keeps Q and 1/ev (not G) and the class `cls` of
-    every row, and every solve then takes two batched real matrix products
-    (146 distinct blocks of 1024 at 32**2 x 64, one at s = 0 with phi = 1).
+    every row (146 distinct blocks of 1024 at 32**2 x 64, one at s = 0 with
+    phi = 1).  The block of a general region is factored G = L L^T, and Q
+    holds R = L^-T with 1/ev all ones, so that R R^T = G^-1; its `max_cond`
+    is the bound min(max w**2, max row sum) ||L^-1||_F**2, at least the
+    exact condition number, and a failed factorization is refused as
+    infinite.  Every solve then takes two batched real matrix products.
     `solve` is `_expand` (the checked data on V, zero elsewhere), the outer
     transform along the spatial axes of a slab, `_minimise` over every block
     (the block solve and the energy) and the inverse outer transform of the
@@ -104,8 +137,8 @@ class PlusNormSolver:
     occupies only some of them, where only the norm is needed, goes to
     `_minimise` with those rows alone: a block whose data vanishes has the
     zero minimiser.  A block condition number above 1e12, or an infinite
-    one, raises ConditioningError: the answer is refused rather than
-    regularised.
+    one, raises ConditioningError, whose message says whether the number is
+    exact or an upper bound: the answer is refused rather than regularised.
     """
 
     def __init__(self, idx: AnisotropicIndex, region: RegionMask):
@@ -135,22 +168,32 @@ class PlusNormSolver:
         # w**2 is even in every frequency, so its inverse DFT is real
         kernel = np.fft.ifftn(self.w2[first], axes=self.block_axes).real.reshape(first.size, -1)
         gram = kernel[:, diff]
-        del diff  # nf**2 indices, freed before eigh allocates its workspace
-        ev, self.Q = np.linalg.eigh(gram)
-        # identical blocks have identical spectra, so this covers every row;
-        # an empty free set leaves nothing to solve, and a smallest
-        # eigenvalue at or below 0 may overflow the quotient to inf
-        with np.errstate(over="ignore"):
-            self.max_cond = (
-                float(np.max(ev[:, -1] / np.maximum(ev[:, 0], 1e-300))) if self.free.size else 1.0
-            )
+        del diff  # nf**2 indices, freed before the factorization's workspace
+        if not self.free.size:
+            # an empty free set leaves nothing to solve
+            self.max_cond, how = 1.0, "exact"
+            self.Q, self.inv_ev = gram, np.ones((len(gram), 0, 1))
+        elif self.slab:
+            ev, self.Q = np.linalg.eigh(gram)
+            # identical blocks have identical spectra, so this covers every
+            # row; a smallest eigenvalue at or below 0 may overflow the
+            # quotient to inf (and then 1/ev is never used)
+            with np.errstate(over="ignore", divide="ignore"):
+                self.max_cond = float(np.max(ev[:, -1] / np.maximum(ev[:, 0], 1e-300)))
+                self.inv_ev = 1.0 / ev[..., None]
+            how = "exact"
+        else:
+            # one block, solved once: a Cholesky factor is enough, and its
+            # inverse gives a certified bound on the condition number
+            self.max_cond, self.Q = _cholesky_inverse_factor(gram[0], float(self.w2.max()))
+            how = "upper bound" if self.Q is not None else "Cholesky failed"
+            self.inv_ev = np.ones((1, self.free.size, 1))
         if not self.max_cond <= _COND_LIMIT:
             raise ConditioningError(
-                f"normal equations have condition number {self.max_cond:.3g} > "
+                f"normal equations have condition number {self.max_cond:.3g} ({how}) > "
                 f"{_COND_LIMIT:g}; the plus norm is refused",
                 self.max_cond,
             )
-        self.inv_ev = 1.0 / ev[..., None]
 
     def solve(self, u_on_v) -> PlusNormResult:
         w = np.fft.fftn(self._expand(u_on_v), axes=self.outer_axes, norm="ortho")

@@ -350,6 +350,19 @@ def test_plus_norm_ill_conditioned_exit_1(capsys, tmp_path):
     assert "condition number" in captured.err
 
 
+def test_plus_norm_failed_cholesky_exit_1(capsys, tmp_path):
+    # the normal matrix is not numerically positive definite at s = 25
+    region, u = scattered_16x32()
+    path = tmp_path / "scattered.hgrd"
+    gridio.save_grid(path, sp.GridFunction(region.lattice, u), region)
+    code = cli.main(["plus-norm", str(path), "--s", "25", "--gamma", "0.5"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "condition number inf (Cholesky failed)" in captured.err
+
+
 # squared heat (p + |xi|**2)**2 with two proportional Dirichlet conditions:
 # the boundary rows are linearly dependent, so covering fails at every frame
 SQUARED_HEAT_PROPORTIONAL_JSON = {

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import oracle_plus_norm, scattered_16x32
+from conftest import full_dft_matrix, oracle_plus_norm, scattered_16x32
 from hormspace import class_m as cm
 from hormspace import plus_spaces as ps
 from hormspace import spectra as sp
@@ -108,6 +108,90 @@ def test_conditioning_just_below_the_limit_matches_oracle():
     solver = ps.PlusNormSolver(idx, region)
     assert 1e11 < solver.max_cond <= ps._COND_LIMIT
     assert solver.solve(u).norm == pytest.approx(oracle_plus_norm(u, idx, region), rel=1e-8)
+
+
+def _exact_cond(idx, region):
+    """eigvalsh condition number of the normal matrix on the free set, built
+    from an explicit DFT matrix: G = A^H A with A = (w F)[:, free]."""
+    lat = region.lattice
+    w = sp.weight_array(lat, idx).ravel()
+    a = (w[:, None] * full_dft_matrix(lat))[:, (region.t_nonneg_mask & ~region.v_mask).ravel()]
+    ev = np.linalg.eigvalsh(a.conj().T @ a)
+    return ev[-1] / ev[0], len(ev)
+
+
+def _oracle_scattered_case(seed):
+    """The scattered region and index of test_matches_dense_oracle's seed."""
+    rng = np.random.default_rng(seed)
+    if seed >= 20:
+        lat = sp.Lattice(k=3, n_x=4, n_t=16, L_x=2 * math.pi, L_t=4.0)
+    elif seed % 2 == 0:
+        lat = sp.Lattice(k=1, n_x=8, n_t=8, L_x=2 * math.pi, L_t=2 * math.pi)
+    else:
+        lat = sp.Lattice(k=2, n_x=8, n_t=8, L_x=2 * math.pi, L_t=4.0)
+    tshape = (1,) * lat.k + (lat.n_t,)
+    tn = np.broadcast_to((lat.t_axis() >= 0).reshape(tshape), lat.shape).copy()
+    v = (rng.random(lat.shape) < 0.3) & tn
+    if not v.any():
+        v[..., lat.n_t // 2 + 1] = True
+    phi = cm.log_power([1]) if seed % 2 else cm.constant_one()
+    return ps.RegionMask(lat, v, tn), sp.AnisotropicIndex(0.8 + 0.2 * (seed % 4), 0.5, phi)
+
+
+def _general_cases():
+    for seed in range(0, 24, 3):
+        yield pytest.param(*_oracle_scattered_case(seed), id=f"oracle-seed{seed}")
+    for s in (12.0, 14.0, 15.0):
+        yield pytest.param(scattered_16x32()[0], sp.AnisotropicIndex(s, 0.5), id=f"16x32-s{s:g}")
+
+
+@pytest.mark.parametrize("region,idx", _general_cases())
+def test_general_region_condition_bound_is_certified_and_not_loose(region, idx):
+    # a general region's refusal number is the Cholesky bound
+    # min(max w**2, largest row sum) * ||L^-1||_F**2: never below the exact
+    # condition number, and at most n_free times it
+    try:
+        bound = ps.PlusNormSolver(idx, region).max_cond
+    except ConditioningError as err:
+        bound = err.condition_number
+    exact, n_free = _exact_cond(idx, region)
+    assert exact * (1 - 1e-9) <= bound <= n_free * exact
+
+
+def test_failed_cholesky_is_refused_as_infinite():
+    # at s = 25 the normal matrix is not numerically positive definite;
+    # the refusal says so without a warning (pytest turns warnings into errors)
+    region, _ = scattered_16x32()
+    with pytest.raises(ConditioningError, match=r"condition number inf \(Cholesky failed\)") as err:
+        ps.PlusNormSolver(sp.AnisotropicIndex(25.0, 0.5), region)
+    assert err.value.condition_number == math.inf
+
+
+def test_refusal_says_how_its_number_was_obtained():
+    region, _ = scattered_16x32()
+    with pytest.raises(ConditioningError, match=r"condition number \S+ \(upper bound\) > "):
+        ps.PlusNormSolver(sp.AnisotropicIndex(16.0, 0.5), region)
+    lat = sp.Lattice(k=2, n_x=8, n_t=64, L_x=2 * math.pi, L_t=2 * math.pi)
+    slab = ps.time_window_region(lat, 0.0, lat.L_t / 4)
+    with pytest.raises(ConditioningError, match=r"condition number \S+ \(exact\) > "):
+        ps.PlusNormSolver(sp.AnisotropicIndex(20.4, 0.5), slab)
+
+
+@pytest.mark.parametrize("slab", [False, True])
+def test_only_slab_setups_call_eigh(monkeypatch, slab):
+    # a general region is solved once per setup, so it is factored by
+    # Cholesky; a slab setup keeps one batched eigh over its distinct blocks
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        original = getattr(np.linalg, name)
+        monkeypatch.setattr(
+            np.linalg, name, lambda *a, _f=original, _n=name, **kw: calls.append(_n) or _f(*a, **kw)
+        )
+    region, _ = scattered_16x32()
+    if slab:
+        region = ps.time_window_region(region.lattice, 0.0, 1.0)
+    ps.PlusNormSolver(sp.AnisotropicIndex(1.5, 0.5), region)
+    assert calls == (["eigh"] if slab else [])
 
 
 def _per_row_blocks(idx, region):
