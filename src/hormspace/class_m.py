@@ -75,9 +75,6 @@ class PhiFunction:
                 f"(needs cutoff > {lo})"
             )
 
-    def __call__(self, r):
-        return eval_phi(self, r)
-
     def to_json_dict(self) -> dict:
         return {
             "kind": self.kind,

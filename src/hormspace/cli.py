@@ -282,6 +282,10 @@ def _cmd_plus_norm(args) -> tuple[dict, int]:
 
 
 def _cmd_model_verify(args) -> tuple[dict, int]:
+    from dataclasses import asdict
+
+    if args.refine not in (0, 1):
+        raise ValueError(f"--refine must be 0 or 1, got {args.refine}")
     _spec, A = _load_operator(args.operator)
     lat = _parse_lattice(args.lattice, args.L_x, args.L_t)
     tau = args.tau_frac * lat.L_t
@@ -308,7 +312,7 @@ def _cmd_model_verify(args) -> tuple[dict, int]:
         "roundtrip_residual": resid,
     }
     passed = math.isfinite(c1) and math.isfinite(c2) and c1 > 0
-    if args.refine > 0:
+    if args.refine:
         lat2 = lat.refine(2, 2)
         c1r, c2r = model_problem.two_sided_ratio(op, ensemble(lat2), sigma, phi)
         change = (c2r / c1r) / (c2 / c1)
@@ -317,7 +321,7 @@ def _cmd_model_verify(args) -> tuple[dict, int]:
     ladder = model_problem.regularity_inheritance_check(
         op, lat, sigma, phi, levels=args.levels, seed=seed
     )
-    report["ladder"] = ladder.to_json_dict()
+    report["ladder"] = asdict(ladder)
     report["passed"] = passed and not ladder.flagged
     return report, 0 if report["passed"] else 1
 
@@ -336,6 +340,8 @@ def _cube_ladder(n: int, points: int, rungs: int) -> list[spectra.Lattice]:
 
 
 def _cmd_embed_check(args) -> tuple[dict, int]:
+    from dataclasses import asdict
+
     phi = _parse_phi(args.phi)
     p, b, n = args.p, args.b, args.n
     if p < 0 or b < 1 or n < 1:
@@ -373,10 +379,10 @@ def _cmd_embed_check(args) -> tuple[dict, int]:
         rows = []
         for R in (10.0, 30.0, 100.0):
             res = embedding.radial_reduction_check(s, gamma, phi, (0,) * n, 0, R)
-            rows.append({"R": R, **res.to_json_dict()})
+            rows.append({"R": R, **asdict(res)})
         report["radial_reduction"] = rows
     if ladder:
-        report["sharpness"] = embedding.sharpness_demo(phi, p, ladder, b=b).to_json_dict()
+        report["sharpness"] = asdict(embedding.sharpness_demo(phi, p, ladder, b=b))
     return report, 0 if verdict == "converges" else 1
 
 

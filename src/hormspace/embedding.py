@@ -11,8 +11,9 @@ demonstrating sharpness when the integral diverges.
 
 The profile's phases make every term of its derivative's Fourier sum
 nonnegative at the origin, so the derivative's largest modulus is its value
-there.  That value and the profile's weighted norm (by Parseval) are sums
-over the coefficient moduli, so the demo runs no transform.
+there, sqrt(I) / (2 pi)**(n+1) for the weight sum I; the profile is
+normalised by sqrt(I), so its weighted norm is 1 by Parseval.  Both are
+closed forms of I, so the demo builds no profile and runs no transform.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .class_m import PhiFunction, constant_one, eval_phi, eval_phi_of_exp
-from .spectra import AnisotropicIndex, Lattice, _parseval_norm, r_gamma_array, weight_array
+from .spectra import Lattice, r_gamma_array
 
 __all__ = [
     "criterion_verdict",
@@ -209,14 +210,6 @@ class RadialReductionResult:
     relerr: float
     c_alpha_beta: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "relerr": self.relerr,
-            "c_alpha_beta": self.c_alpha_beta,
-        }
-
 
 def radial_reduction_check(
     s: float,
@@ -284,13 +277,6 @@ class SharpnessReport:
     norm_spread: float
     sup_monotone: bool
 
-    def to_json_dict(self) -> dict:
-        return {
-            "entries": self.entries,
-            "norm_spread": self.norm_spread,
-            "sup_monotone": self.sup_monotone,
-        }
-
 
 def sharpness_demo(
     phi_diverging: PhiFunction,
@@ -305,10 +291,13 @@ def sharpness_demo(
     w = r**s phi(r) the Hormander weight and Z**2 the derivative weight sum
     at alpha = (p, 0, ..., 0), and phases aligned so that every term of the
     p-th x1-derivative's Fourier sum is nonnegative at the origin.  The
-    derivative's largest modulus is therefore its value at the origin, one
-    sum over the moduli, and the weighted norm is a Parseval sum over the
-    same moduli; neither needs a transform.  When the criterion integral
-    diverges the peak grows without bound while every norm stays 1.
+    derivative's largest modulus is therefore its value at the origin, the
+    lattice sum of xi_1**(2p) / (w**2 Z) with cell / (2 pi)**(n+1) per mode,
+    which is Z / (2 pi)**(n+1); by Parseval the weighted norm is the square
+    root of Z**2 / Z**2, exactly 1.  Both are closed forms of Z**2, so each
+    rung computes only the weight sum and builds no profile.  When the
+    criterion integral diverges the peak grows without bound while every
+    norm stays 1.
     """
     if criterion_verdict(phi_diverging) != "diverges":
         raise ValueError("phi satisfies the criterion; sharpness demo needs divergence")
@@ -319,31 +308,20 @@ def sharpness_demo(
     gamma = 1.0 / (2.0 * b)
     entries = []
     sups = []
-    norms = []
     for lat in lattices:
         n = lat.k
         s = p + b + n / 2.0
         I_N = derivative_weight_sum(lat, s, gamma, phi_diverging, (p,) + (0,) * (n - 1), 0)
-        Z = math.sqrt(I_N)
-        w = weight_array(lat, AnisotropicIndex(s, gamma, phi_diverging))
-        xi1_p = np.abs(lat.xi_axis()).reshape((lat.n_x,) + (1,) * n) ** p
-        mag = xi1_p / (w * w * Z)
-        norm = _parseval_norm(w * mag, lat)
-        # the derivative at the origin, its Fourier integral as a lattice sum
-        # of nonnegative terms with cell / (2 pi)**(n+1) per mode
-        scale = lat.cell_volume / (2.0 * math.pi) ** (n + 1)
-        sup = scale * float(np.sum(xi1_p * mag))
+        sup = math.sqrt(I_N) / (2.0 * math.pi) ** (n + 1)
         entries.append(
             {
                 "n_x": lat.n_x,
                 "n_t": lat.n_t,
-                "norm": norm,
+                "norm": 1.0,
                 "sup_derivative": sup,
                 "weight_sum": I_N,
             }
         )
-        norms.append(norm)
         sups.append(sup)
-    spread = (max(norms) - min(norms)) / max(norms)
     monotone = all(hi > lo for lo, hi in zip(sups, sups[1:]))
-    return SharpnessReport(entries, spread, monotone)
+    return SharpnessReport(entries, 0.0, monotone)

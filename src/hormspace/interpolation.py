@@ -77,9 +77,6 @@ class InterpParameter:
     def theta(self) -> float:
         return (self.s - self.s0) / (self.s1 - self.s0)
 
-    def __call__(self, r):
-        return eval_psi(self, r)
-
 
 def build_psi(s0: float, s: float, s1: float, phi: PhiFunction) -> InterpParameter:
     if not (s0 < s < s1):

@@ -211,17 +211,18 @@ def _duhamel_weights(op: PeriodicParabolicOperator, lat: Lattice) -> np.ndarray:
 
 
 def _duhamel_modes(
-    op: PeriodicParabolicOperator, weights: np.ndarray, rows, fhat: np.ndarray
+    op: PeriodicParabolicOperator, weights: np.ndarray, rows, fhat: np.ndarray, stop: int
 ) -> np.ndarray:
     """Duhamel solution on the spatial modes rows (flat indices, or
     slice(None) for all) from the modes fhat of a supported forcing there,
     one row of n_t time samples each; weights are _duhamel_weights of the
-    lattice.  Every mode is exactly 0 for t <= 0."""
+    lattice.  The recurrence runs from t = 0 (index n_t // 2) up to the time
+    index stop, exclusive; every mode is exactly 0 for t <= 0 and from stop
+    on."""
     ez, w_left, w_right = weights[:, rows]
     modes = fhat / op.a_t
     u = np.zeros_like(modes)
-    n_t = modes.shape[-1]
-    for j in range(n_t // 2, n_t - 1):  # from t = 0
+    for j in range(modes.shape[-1] // 2, stop - 1):
         u[:, j + 1] = ez * u[:, j] + w_left * modes[:, j] + w_right * modes[:, j + 1]
     return u
 
@@ -235,7 +236,7 @@ def solve_periodic(op: PeriodicParabolicOperator, f: GridFunction) -> GridFuncti
     lat = f.lattice
     _check_forcing(op, lat, f.samples)
     f = _spatial_modes(f)
-    u = _duhamel_modes(op, _duhamel_weights(op, lat), f.rows, f.modes)
+    u = _duhamel_modes(op, _duhamel_weights(op, lat), f.rows, f.modes, lat.n_t)
     u = np.fft.ifftn(u.reshape(lat.shape), axes=tuple(range(lat.k)), norm="ortho")
     return GridFunction(lat, u)
 
@@ -269,7 +270,10 @@ def apply_operator(
     smooth time-periodic u), "fd4" (a local stencil, usable on solutions
     whose free tail wraps around the window), or "duhamel"
     (exact differentiation of the stored Duhamel representation; requires
-    the forcing f and reproduces it identically at the nodes).
+    the forcing f).  "duhamel" takes d/dt u = f / a_t - lambda u, so the
+    result is f for any u, not only for the solve_periodic solution of
+    f (2.6e-16 relative on random_grid input at 16**2 x 32): it checks only
+    that lambda = multiplier / a_t.
     """
     lat = u.lattice
     op._check_lattice(lat)
@@ -356,7 +360,10 @@ def two_sided_ratio(
     # a time window is constant across x, so its masks commute with the
     # spatial DFT and the solution never leaves spatial modes
     assert solver.slab
-    off_v = ~region.v_mask.reshape(-1, lat.n_t)[0]
+    # the ratio reads u on the window 0 < t < tau only, which is the data on
+    # V; the recurrence stops at the first sample at or after tau, so u is
+    # exactly 0 off the window
+    stop = int(np.count_nonzero(lat.t_axis() < op.tau))
     w_f = weight_array(lat, idx_f).reshape(-1, lat.n_t)
     ratios = []
     while f is not None:
@@ -368,8 +375,7 @@ def two_sided_ratio(
         fn = _parseval_norm(w_f[f.rows] * np.abs(coeffs), lat)
         if fn == 0.0:
             raise ValueError("ensemble contains a zero forcing; ratio undefined")
-        u = _duhamel_modes(op, weights, f.rows, f.modes)
-        u[:, off_v] = 0.0  # the data on V
+        u = _duhamel_modes(op, weights, f.rows, f.modes, stop)
         ratios.append(solver._minimise(u, f.rows) / fn)
         f = next(members, None)
     return float(min(ratios)), float(max(ratios))
@@ -379,10 +385,9 @@ def _time_bump(lattice: Lattice, tau: float) -> np.ndarray:
     """exp(-1/(y(1-y))) at y = t/tau inside (0, 1), 0 outside, along the
     time axis."""
     y = lattice.t_axis() / tau
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        return np.where(
-            (y > 0.0) & (y < 1.0), np.exp(-1.0 / np.clip(y * (1.0 - y), 1e-300, None)), 0.0
-        )
+    return np.where(
+        (y > 0.0) & (y < 1.0), np.exp(-1.0 / np.clip(y * (1.0 - y), 1e-300, None)), 0.0
+    )
 
 
 class _BandLayout(NamedTuple):
@@ -457,13 +462,6 @@ class InheritanceReport:
     levels: list
     flagged: bool
     growth_limit: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "levels": self.levels,
-            "flagged": self.flagged,
-            "growth_limit": self.growth_limit,
-        }
 
 
 def regularity_inheritance_check(

@@ -60,14 +60,6 @@ class AnisotropicIndex:
         if self.phi is None:
             object.__setattr__(self, "phi", constant_one())
 
-    def time_order_b(self) -> int:
-        """The integer b with gamma = 1/(2b); raises if there is none."""
-        b = 1.0 / (2.0 * self.gamma)
-        bi = round(b)
-        if bi < 1 or abs(b - bi) > 1e-9:
-            raise ValueError(f"gamma={self.gamma} is not 1/(2b) for integer b")
-        return bi
-
 
 @dataclass(frozen=True)
 class Lattice:

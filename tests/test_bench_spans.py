@@ -5,16 +5,18 @@ as the traced benchmark's coverage exit."""
 import importlib
 import importlib.util
 import inspect
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import scattered_16x32
-from hormspace import model_problem, plus_spaces
+from hormspace import cli, model_problem, plus_spaces
 from hormspace.spectra import AnisotropicIndex
 
-SPANS_PY = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+SPANS_PY = BENCH / "spans.py"
 
 # Spans the tracer records from a class hook rather than a module function:
 # the plus-norm solver's setup (named by the path it took) and solve, and
@@ -32,6 +34,39 @@ def _load_spans():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _load_workloads(monkeypatch):
+    # workloads.py defines dataclasses, which look their module up by name
+    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("workload", ["model_estimates", "lattice_norms"])
+def test_traced_workload_records_every_coverage_span(tmp_path, capsys, monkeypatch, workload):
+    # one tiny traced pass, as the traced benchmark runs it: a function the
+    # tracer no longer reaches fails here, not only as the benchmark's exit 3
+    spans = _load_spans()
+    cases = _load_workloads(monkeypatch).build(workload, 7, tmp_path, scale="tiny")
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        codes = []
+        for case in cases:
+            tracer.invocation += 1
+            rec = tracer.open("cli")
+            try:
+                codes.append(cli.main(list(case.argv)))
+            finally:
+                tracer.close(rec)
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert codes == [case.expect_code for case in cases]
+    spans.check_coverage(workload, spans.aggregate(tracer.spans))
 
 
 def test_coverage_spans_name_public_functions():

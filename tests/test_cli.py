@@ -302,6 +302,24 @@ def test_model_verify_refuses_empty_ladder(capsys, heat_file, levels):
     assert "levels" in captured.err
 
 
+@pytest.mark.parametrize("refine", ["2", "-1"])
+def test_model_verify_refuses_refine_other_than_0_or_1(capsys, heat_file, monkeypatch, refine):
+    # --refine is a flag: 2 refined once and -1 did not refine at all;
+    # both are refused before any ratio is taken
+    def never(*args, **kwargs):
+        raise AssertionError("a ratio was taken before --refine was checked")
+
+    monkeypatch.setattr(model_problem, "two_sided_ratio", never)
+    code = cli.main(
+        ["model-verify", heat_file, "--sigma", "4", "--ensemble", "2",
+         "--lattice", "8x8x16", "--levels", "1", "--refine", refine]
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: --refine must be 0 or 1, got {refine}\n"
+
+
 @pytest.mark.parametrize("trials", ["0", "-3"])
 def test_verify_lemma71_refuses_trial_count_below_one(capsys, trials):
     # zero trials computed no ratio and reported a vacuous pass

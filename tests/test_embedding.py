@@ -360,6 +360,34 @@ def test_sharpness_demo_runs_no_transform_and_no_hnorm(monkeypatch):
     assert "ifftn" in calls and "hnorm" in calls and "fftn" in calls
 
 
+def test_sharpness_demo_builds_only_the_weight_sum(monkeypatch):
+    # the peak and the norm are closed forms of the weight sum: each rung
+    # takes one r_gamma array and one phi evaluation, and no weight array
+    calls = []
+
+    def spy(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    targets = {"weight_array": sp.weight_array, "r_gamma_array": sp.r_gamma_array,
+               "eval_phi": cm.eval_phi}
+    for mod in [m for name, m in sys.modules.items() if name.startswith("hormspace")]:
+        for attr, val in list(vars(mod).items()):
+            for name, fn in targets.items():
+                if val is fn:
+                    monkeypatch.setattr(mod, attr, spy(name, fn))
+    for phi, p, k in ((cm.constant_one(), 0, 2), (cm.log_power([0.4]), 1, 1)):
+        lattices = _ladder(4, 3, k)
+        calls.clear()
+        rep = em.sharpness_demo(phi, p, lattices)
+        assert sorted(calls) == ["eval_phi"] * 3 + ["r_gamma_array"] * 3
+        assert [e["norm"] for e in rep.entries] == [1.0, 1.0, 1.0]
+        assert rep.norm_spread == 0.0
+
+
 def _gauss_angular_moment(alpha):
     """The 64-node Gauss quadratures _angular_moment replaced, kept as its reference."""
     x, w = np.polynomial.legendre.leggauss(64)

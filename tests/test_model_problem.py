@@ -313,6 +313,44 @@ def test_two_sided_ratio_refuses_forcing_before_zero(heat_op):
         mp.two_sided_ratio(heat_op, [good, bad], 4.0)
 
 
+@pytest.mark.parametrize(
+    "n_t, tau_frac, stop",
+    [(16, 0.25, 12), (64, 0.25, 48), (16, 0.3, 13)],
+    ids=["on-sample-16", "on-sample-64", "between-samples"],
+)
+def test_two_sided_ratio_recurrence_stops_at_the_window(monkeypatch, n_t, tau_frac, stop):
+    # the ratio reads u on 0 < t < tau only: its recurrence stops at the first
+    # sample at or after tau (t = tau exactly when tau_frac = 1/4), so u is
+    # the full recurrence there, bit for bit, and exactly 0 everywhere else
+    lat = sp.Lattice(k=2, n_x=8, n_t=n_t, L_x=2 * math.pi, L_t=2 * math.pi)
+    op = mp.PeriodicParabolicOperator(
+        symbol=heat_symbol(), L_x=2 * math.pi, tau=tau_frac * lat.L_t
+    )
+    seen = []
+    duhamel = mp._duhamel_modes
+
+    def spy(*args):
+        u = duhamel(*args)
+        seen.append((args[-1], u.copy()))
+        return u
+
+    monkeypatch.setattr(mp, "_duhamel_modes", spy)
+    layout = mp._band_layout(lat, op.tau)
+    members = [mp._forcing_modes(lat, layout, seed) for seed in range(2)]
+    mp.two_sided_ratio(op, members, 4.0)
+    weights = mp._duhamel_weights(op, lat)
+    t = lat.t_axis()
+    window = (t > 0.0) & (t < op.tau)
+    assert [s for s, _ in seen] == [stop, stop]
+    # one step per window sample: 15 of the 31 steps to L_t/2 at n_t = 64
+    assert stop - 1 - n_t // 2 == np.count_nonzero(window)
+    for f, (_, u) in zip(members, seen):
+        full = duhamel(op, weights, f.rows, f.modes, n_t)
+        assert np.array_equal(u[:, window], full[:, window])
+        assert np.all(full[:, window][:, -1] != 0.0)
+        assert not np.any(u[:, ~window])
+
+
 def test_two_sided_ratio_transform_passes_per_member(heat_op, monkeypatch):
     # per member: the spatial transform of f, the time transform for its
     # norm, and the three block passes of the plus norm; no inverse
