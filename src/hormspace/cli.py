@@ -182,11 +182,12 @@ def _cmd_norm(args) -> tuple[dict, int]:
     idx = spectra.AnisotropicIndex(args.s, args.gamma, phi)
     field_ = spectra.dft(g)
     # hnorm's Parseval sum over this one transform, and r_gamma_max from the
-    # r_gamma array of its weight
-    r = spectra.r_gamma_array(lat, idx.gamma)
-    hnorm = spectra._parseval_norm(spectra._weight(r, idx) * np.abs(field_.coeffs), lat)
+    # folded r_gamma array of its weight, which holds every value r_gamma takes
+    r = spectra._folded_r(lat, idx.gamma)
+    w = spectra._unfold(lat, spectra._weight(r, idx))
     r_gamma_max = float(np.max(r))
-    del r
+    hnorm = spectra._parseval_norm(w * np.abs(field_.coeffs), lat)
+    del w
     back = spectra.idft(field_)
     # each full-lattice array is dropped once used, so that fewer of them
     # are alive under the round-trip difference and the embedding constants
@@ -286,6 +287,10 @@ def _cmd_model_verify(args) -> tuple[dict, int]:
 
     if args.refine not in (0, 1):
         raise ValueError(f"--refine must be 0 or 1, got {args.refine}")
+    # regularity_inheritance_check refuses an empty ladder too, but only
+    # after both ensembles and the round trip have run
+    if args.levels < 1:
+        raise ValueError(f"levels must be at least 1, got {args.levels}")
     _spec, A = _load_operator(args.operator)
     lat = _parse_lattice(args.lattice, args.L_x, args.L_t)
     tau = args.tau_frac * lat.L_t

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .class_m import PhiFunction, constant_one, eval_phi, eval_phi_of_exp
-from .spectra import Lattice, r_gamma_array
+from .spectra import Lattice, _folded, _folded_r, _unfold
 
 __all__ = [
     "criterion_verdict",
@@ -97,21 +97,24 @@ def derivative_weight_sum(
         raise ValueError("alpha length must equal the spatial dimension")
     if beta < 0 or any(a < 0 for a in alpha):
         raise ValueError("derivative orders must be nonnegative")
-    r = r_gamma_array(lattice, gamma)
+    # weight and numerator are even in every frequency: both are built on
+    # the folded quadrant, and their quotient is unfolded once, so the sum
+    # runs over the same values in the same order as on the whole lattice
+    r = _folded_r(lattice, gamma)
     weight = r ** (2.0 * s) * eval_phi(phi, r) ** 2
-    num = np.ones(lattice.shape)
-    xi = lattice.xi_axis()
+    num = np.ones(r.shape)
+    xi = _folded(lattice.xi_axis())
     for axis, a in enumerate(alpha):
         if a:
             shape = [1] * (lattice.k + 1)
-            shape[axis] = lattice.n_x
+            shape[axis] = xi.size
             num = num * (xi ** (2 * a)).reshape(shape)
     if beta:
-        eta = lattice.eta_axis()
+        eta = _folded(lattice.eta_axis())
         shape = [1] * (lattice.k + 1)
-        shape[-1] = lattice.n_t
+        shape[-1] = eta.size
         num = num * (np.abs(eta) ** (2 * beta)).reshape(shape)
-    return float(np.sum(num / weight) * lattice.cell_volume)
+    return float(np.sum(_unfold(lattice, num / weight)) * lattice.cell_volume)
 
 
 def radial_integrand(s: float, delta: float, phi: PhiFunction, r):

@@ -19,7 +19,8 @@ import numpy as np
 from .class_m import PhiFunction, eval_phi
 from .plus_spaces import RegionMask, plus_norm
 from .spectra import AnisotropicIndex, GridFunction, Lattice, r_gamma_array
-from .spectra import _parseval_norm, _weight, _weighted_coeffs, _weighted_norm
+from .spectra import _folded_r, _parseval_norm, _unfold, _weight, _weighted_coeffs
+from .spectra import _weighted_norm
 
 __all__ = [
     "DiagonalPair",
@@ -36,6 +37,14 @@ __all__ = [
 ]
 
 
+def _check_admissible(mu0: np.ndarray, mu1: np.ndarray) -> None:
+    """Refuse weights that are not an admissible pair: mu1 >= mu0 > 0."""
+    if np.any(mu0 <= 0):
+        raise ValueError("mu0 must be strictly positive")
+    if np.any(mu1 < mu0):
+        raise ValueError("admissibility requires mu1 >= mu0 everywhere")
+
+
 @dataclass(frozen=True)
 class DiagonalPair:
     """Admissible pair of norms diagonal in the DFT basis: mu1 >= mu0 > 0."""
@@ -49,10 +58,7 @@ class DiagonalPair:
         mu1 = np.asarray(self.mu1, dtype=float)
         if mu0.shape != self.lattice.shape or mu1.shape != self.lattice.shape:
             raise ValueError("weight shapes must match the lattice")
-        if np.any(mu0 <= 0):
-            raise ValueError("mu0 must be strictly positive")
-        if np.any(mu1 < mu0):
-            raise ValueError("admissibility requires mu1 >= mu0 everywhere")
+        _check_admissible(mu0, mu1)
         object.__setattr__(self, "mu0", mu0)
         object.__setattr__(self, "mu1", mu1)
 
@@ -119,16 +125,16 @@ def generating_operator(pair: DiagonalPair) -> np.ndarray:
     return pair.mu1 / pair.mu0
 
 
-def _interp_weight(pair: DiagonalPair, p: InterpParameter) -> np.ndarray:
-    """The interpolated weight mu0 * psi(mu1 / mu0)."""
-    return pair.mu0 * eval_psi(p, generating_operator(pair))
+def _interp_weight(mu0: np.ndarray, mu1: np.ndarray, p: InterpParameter) -> np.ndarray:
+    """The interpolated weight mu0 * psi(mu1 / mu0) of the pair (mu0, mu1)."""
+    return mu0 * eval_psi(p, mu1 / mu0)
 
 
 def interp_norm(g: GridFunction, pair: DiagonalPair, p: InterpParameter) -> float:
     """mu0-weighted norm of psi(multiplier) applied spectrally to g."""
     if g.lattice != pair.lattice:
         raise ValueError("grid and pair lattices differ")
-    return _weighted_norm(g, _interp_weight(pair, p))
+    return _weighted_norm(g, _interp_weight(pair.mu0, pair.mu1, p))
 
 
 def verify_lemma71(
@@ -140,18 +146,21 @@ def verify_lemma71(
     equal pointwise in frequency, so the ratio is 1 up to rounding.  A zero
     input returns 1 by convention.  The arithmetic is that of
     interp_norm(g, pair, p) / hnorm(g, idx), with one transform of g and
-    one r_gamma array shared by both norms.
+    one r_gamma array shared by both norms.  Both weights are built on the
+    folded quadrant, which holds every value they take, and unfolded once.
     """
     lat = g.lattice
-    r = r_gamma_array(lat, gamma)
-    pair = DiagonalPair(lat, r**s0, r**s1)
+    r = _folded_r(lat, gamma)
+    mu0, mu1 = r**s0, r**s1
+    # the refusals of DiagonalPair(lat, mu0, mu1), over the same values
+    _check_admissible(mu0, mu1)
     p = build_psi(s0, s, s1, phi)
     idx = AnisotropicIndex(s, gamma, phi)
     mag = np.abs(np.fft.fftn(g.samples, norm="ortho"))
-    denom = _parseval_norm(_weight(r, idx) * mag, lat)
+    denom = _parseval_norm(_unfold(lat, _weight(r, idx)) * mag, lat)
     if denom == 0.0:
         return 1.0
-    return _parseval_norm(_interp_weight(pair, p) * mag, lat) / denom
+    return _parseval_norm(_unfold(lat, _interp_weight(mu0, mu1, p)) * mag, lat) / denom
 
 
 def interp_subspace_norm(
@@ -198,7 +207,7 @@ def direct_sum_interp_check(
         if g.lattice != pair.lattice:
             raise ValueError("grid and pair lattices differ")
         root_cell = math.sqrt(pair.lattice.cell_volume)
-        w = _weighted_coeffs(_interp_weight(pair, p), g.samples) * root_cell
+        w = _weighted_coeffs(_interp_weight(pair.mu0, pair.mu1, p), g.samples) * root_cell
         weighted.append(w.ravel())
         per_summand.append(float(np.sqrt(np.sum(w**2))))
     lhs = float(np.linalg.norm(np.concatenate(weighted)))

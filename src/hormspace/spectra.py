@@ -14,6 +14,11 @@ Conventions used throughout the package:
   energy exactly.
 * Norms carry the frequency cell volume (2 pi / L_x)**k * (2 pi / L_t) so
   that they are quadrature approximations of the corresponding integrals.
+* Weights are even in each frequency, and m and -m give bit-identical
+  xi**2 and |eta|.  They are built on the folded quadrant, the first
+  n // 2 + 1 FFT-order entries of every axis (m = 0, ..., n/2 - 1 and
+  -n/2), which holds every value they take, and `_unfold` expands them to
+  the whole lattice with the same bits at every point.
 """
 
 from __future__ import annotations
@@ -140,19 +145,42 @@ class SpectralField:
         object.__setattr__(self, "coeffs", arr)
 
 
-def r_gamma_array(lattice: Lattice, gamma: float) -> np.ndarray:
-    """r_gamma over the whole frequency lattice (FFT order)."""
+def _folded(freqs: np.ndarray) -> np.ndarray:
+    """The first n // 2 + 1 FFT-order entries of a frequency axis: one of
+    each +-m class."""
+    return freqs[: freqs.size // 2 + 1]
+
+
+def _folded_r(lattice: Lattice, gamma: float) -> np.ndarray:
+    """r_gamma on the folded quadrant of the lattice."""
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    xi = lattice.xi_axis()
-    eta = lattice.eta_axis()
-    sq = np.zeros(lattice.shape)
+    xi = _folded(lattice.xi_axis())
+    eta = _folded(lattice.eta_axis())
+    sq = np.zeros((xi.size,) * lattice.k + (eta.size,))
     for axis in range(lattice.k):
         shape = [1] * (lattice.k + 1)
-        shape[axis] = lattice.n_x
+        shape[axis] = xi.size
         sq = sq + (xi**2).reshape(shape)
-    sq = sq + (np.abs(eta) ** (2.0 * gamma)).reshape((1,) * lattice.k + (lattice.n_t,))
+    sq = sq + (np.abs(eta) ** (2.0 * gamma)).reshape((1,) * lattice.k + (eta.size,))
     return np.sqrt(1.0 + sq)
+
+
+def _unfold(lattice: Lattice, a: np.ndarray) -> np.ndarray:
+    """Expand an array on the folded quadrant to the whole lattice (FFT
+    order): entry i of an axis of n points reads folded entry i for
+    i <= n // 2 and n - i above, the entry of -m.  The last axis is
+    expanded first, which measured faster than the first-to-last order."""
+    for axis in reversed(range(lattice.k + 1)):
+        n = lattice.shape[axis]
+        i = np.arange(n)
+        a = np.take(a, np.where(i <= n // 2, i, n - i), axis=axis)
+    return a
+
+
+def r_gamma_array(lattice: Lattice, gamma: float) -> np.ndarray:
+    """r_gamma over the whole frequency lattice (FFT order)."""
+    return _unfold(lattice, _folded_r(lattice, gamma))
 
 
 def _weight(r: np.ndarray, idx: AnisotropicIndex, phi_r=None) -> np.ndarray:
@@ -164,7 +192,7 @@ def _weight(r: np.ndarray, idx: AnisotropicIndex, phi_r=None) -> np.ndarray:
 def weight_array(lattice: Lattice, idx: AnisotropicIndex) -> np.ndarray:
     """The Hormander weight r_gamma**s * phi(r_gamma) over the whole
     frequency lattice (FFT order)."""
-    return _weight(r_gamma_array(lattice, idx.gamma), idx)
+    return _unfold(lattice, _weight(_folded_r(lattice, idx.gamma), idx))
 
 
 def dft(g: GridFunction) -> SpectralField:
@@ -221,8 +249,9 @@ def embedding_constants(
     if not (idx0.gamma == idx.gamma == idx1.gamma):
         raise ValueError("indices must share gamma")
     # one r_gamma array for the three weights, and one phi(r) for those
-    # indices that share the middle one's phi
-    r = r_gamma_array(lattice, idx.gamma)
+    # indices that share the middle one's phi; the folded quadrant holds
+    # every value the weights take, so its maxima are the lattice's
+    r = _folded_r(lattice, idx.gamma)
     phi_r = eval_phi(idx.phi, r)
     w0, w, w1 = (
         _weight(r, i, phi_r if i.phi == idx.phi else None) for i in (idx0, idx, idx1)
@@ -233,5 +262,9 @@ def embedding_constants(
 def random_grid(lattice: Lattice, seed: int) -> GridFunction:
     """Seeded complex Gaussian samples."""
     rng = np.random.default_rng(seed)
-    samples = rng.standard_normal(lattice.shape) + 1j * rng.standard_normal(lattice.shape)
+    # the real parts are drawn first, as in a + 1j * b, with the same bits,
+    # but into one complex array
+    samples = np.empty(lattice.shape, dtype=complex)
+    samples.real = rng.standard_normal(lattice.shape)
+    samples.imag = rng.standard_normal(lattice.shape)
     return GridFunction(lattice, samples)

@@ -645,3 +645,24 @@ def test_embed_check_radial_quadrature_breakdown_writes_only_its_refusal(capsys,
     assert code == 2
     assert captured.out == ""
     assert captured.err == f"error: radial reduction overflows double precision at n = {n}, s = {int(n) / 2 + 1}\n"
+
+
+@pytest.mark.parametrize("levels", ["0", "-1"])
+def test_model_verify_refuses_empty_ladder_before_any_ratio(capsys, heat_file, monkeypatch, levels):
+    # the refusal came only after both ensembles and the round trip had run
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("a ratio was taken before --levels was checked")
+
+    monkeypatch.setattr(model_problem, "two_sided_ratio", spy)
+    code = cli.main(
+        ["model-verify", heat_file, "--sigma", "4", "--ensemble", "2",
+         "--lattice", "8x8x16", "--levels", levels]
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    assert calls == []
+    assert captured.out == ""
+    assert captured.err == f"error: levels must be at least 1, got {levels}\n"

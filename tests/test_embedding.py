@@ -362,7 +362,8 @@ def test_sharpness_demo_runs_no_transform_and_no_hnorm(monkeypatch):
 
 def test_sharpness_demo_builds_only_the_weight_sum(monkeypatch):
     # the peak and the norm are closed forms of the weight sum: each rung
-    # takes one r_gamma array and one phi evaluation, and no weight array
+    # takes one folded r_gamma array and one phi evaluation, and no
+    # full-lattice weight or r_gamma array
     calls = []
 
     def spy(name, fn):
@@ -373,7 +374,7 @@ def test_sharpness_demo_builds_only_the_weight_sum(monkeypatch):
         return wrapper
 
     targets = {"weight_array": sp.weight_array, "r_gamma_array": sp.r_gamma_array,
-               "eval_phi": cm.eval_phi}
+               "_folded_r": sp._folded_r, "eval_phi": cm.eval_phi}
     for mod in [m for name, m in sys.modules.items() if name.startswith("hormspace")]:
         for attr, val in list(vars(mod).items()):
             for name, fn in targets.items():
@@ -383,7 +384,7 @@ def test_sharpness_demo_builds_only_the_weight_sum(monkeypatch):
         lattices = _ladder(4, 3, k)
         calls.clear()
         rep = em.sharpness_demo(phi, p, lattices)
-        assert sorted(calls) == ["eval_phi"] * 3 + ["r_gamma_array"] * 3
+        assert sorted(calls) == ["_folded_r"] * 3 + ["eval_phi"] * 3
         assert [e["norm"] for e in rep.entries] == [1.0, 1.0, 1.0]
         assert rep.norm_spread == 0.0
 

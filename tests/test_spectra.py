@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hormspace import class_m as cm
+from hormspace import embedding as em
 from hormspace import spectra as sp
 
 
@@ -199,3 +200,84 @@ def test_dft_keeps_the_l2_norm_and_idft_inverts_it(k, n_x, n_t, L_t, seed):
     assert float(np.sum(np.abs(field.coeffs) ** 2)) == pytest.approx(energy, rel=1e-12)
     back = sp.idft(field).samples
     assert np.max(np.abs(back - g.samples)) <= 1e-13 * np.max(np.abs(g.samples))
+
+
+def _full_lattice_r(lat, gamma):
+    """r_gamma computed at every point of the lattice, as before the folded
+    quadrant; kept as the reference for the fast path."""
+    xi = lat.xi_axis()
+    eta = lat.eta_axis()
+    sq = np.zeros(lat.shape)
+    for axis in range(lat.k):
+        shape = [1] * (lat.k + 1)
+        shape[axis] = lat.n_x
+        sq = sq + (xi**2).reshape(shape)
+    sq = sq + (np.abs(eta) ** (2.0 * gamma)).reshape((1,) * lat.k + (lat.n_t,))
+    return np.sqrt(1.0 + sq)
+
+
+def _same_bits(a, b):
+    a = np.ascontiguousarray(a, dtype=float)
+    b = np.ascontiguousarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+_phis = st.one_of(
+    st.just(cm.constant_one()),
+    st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=2).map(cm.log_power),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    k=st.integers(1, 3),
+    n_x=st.sampled_from([1, 2, 4, 8, 16]),
+    n_t=st.sampled_from([1, 2, 4, 8, 16]),
+    L_x=st.floats(0.3, 30.0).filter(lambda L: L != 2 * math.pi),
+    L_t=st.floats(0.3, 30.0).filter(lambda L: L != 2 * math.pi),
+    gamma=st.floats(0.1, 2.0),
+    s=st.floats(-3.0, 3.0),
+    ds=st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 2.0)),
+    phi=_phis,
+    alpha_beta=st.tuples(st.lists(st.integers(0, 2), min_size=3, max_size=3), st.integers(0, 2)),
+)
+def test_folded_weights_have_the_full_lattice_bits(
+    k, n_x, n_t, L_x, L_t, gamma, s, ds, phi, alpha_beta
+):
+    lat = sp.Lattice(k=k, n_x=n_x, n_t=n_t, L_x=L_x, L_t=L_t)
+    r = _full_lattice_r(lat, gamma)
+    assert _same_bits(sp.r_gamma_array(lat, gamma), r)
+    idx = sp.AnisotropicIndex(s, gamma, phi)
+    w = r**s * cm.eval_phi(phi, r)
+    assert _same_bits(sp.weight_array(lat, idx), w)
+
+    idx0 = sp.AnisotropicIndex(s - ds[0], gamma, phi)
+    idx1 = sp.AnisotropicIndex(s + ds[1], gamma, cm.constant_one())
+    w0 = r**idx0.s * cm.eval_phi(phi, r)
+    w1 = r**idx1.s * cm.eval_phi(idx1.phi, r)
+    want = (float(np.max(w0 / w)), float(np.max(w / w1)))
+    assert _same_bits(sp.embedding_constants(idx0, idx, idx1, lat), want)
+
+    alpha, beta = tuple(alpha_beta[0][:k]), alpha_beta[1]
+    num = np.ones(lat.shape)
+    for axis, a in enumerate(alpha):
+        shape = [1] * (k + 1)
+        shape[axis] = n_x
+        num = num * (lat.xi_axis() ** (2 * a)).reshape(shape)
+    num = num * (np.abs(lat.eta_axis()) ** (2 * beta)).reshape((1,) * k + (n_t,))
+    weight = r ** (2.0 * s) * cm.eval_phi(phi, r) ** 2
+    want = float(np.sum(num / weight) * lat.cell_volume)
+    assert _same_bits(em.derivative_weight_sum(lat, s, gamma, phi, alpha, beta), want)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (8, 16), (4, 4, 8), (16, 16, 16, 32)])
+@pytest.mark.parametrize("seed", [0, 1, 7, 1401])
+def test_random_grid_keeps_the_bits_of_a_plus_i_b(shape, seed):
+    # the samples are filled in place, with the draws of a + 1j * b in the
+    # same order
+    lat = sp.Lattice(k=len(shape) - 1, n_x=shape[0], n_t=shape[-1], L_x=1.0, L_t=2.0)
+    rng = np.random.default_rng(seed)
+    want = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    got = sp.random_grid(lat, seed).samples
+    assert got.dtype == want.dtype
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
