@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .class_m import PhiFunction, constant_one, eval_phi, eval_phi_of_exp
-from .spectra import Lattice, _folded, _folded_r, _unfold
+from .spectra import Lattice, _folded_r, _unfold
 
 __all__ = [
     "criterion_verdict",
@@ -97,24 +97,24 @@ def derivative_weight_sum(
         raise ValueError("alpha length must equal the spatial dimension")
     if beta < 0 or any(a < 0 for a in alpha):
         raise ValueError("derivative orders must be nonnegative")
-    # weight and numerator are even in every frequency: both are built on
-    # the folded quadrant, and their quotient is unfolded once, so the sum
-    # runs over the same values in the same order as on the whole lattice
+    # the weight is even in every frequency, so its powers and logs are taken
+    # on the folded quadrant; the numerator stays on the whole lattice,
+    # because xi ** 4 and (-xi) ** 4 may differ in the last bit
     r = _folded_r(lattice, gamma)
-    weight = r ** (2.0 * s) * eval_phi(phi, r) ** 2
-    num = np.ones(r.shape)
-    xi = _folded(lattice.xi_axis())
+    weight = _unfold(lattice, r ** (2.0 * s) * eval_phi(phi, r) ** 2)
+    num = np.ones(lattice.shape)
+    xi = lattice.xi_axis()
     for axis, a in enumerate(alpha):
         if a:
             shape = [1] * (lattice.k + 1)
-            shape[axis] = xi.size
+            shape[axis] = lattice.n_x
             num = num * (xi ** (2 * a)).reshape(shape)
     if beta:
-        eta = _folded(lattice.eta_axis())
+        eta = lattice.eta_axis()
         shape = [1] * (lattice.k + 1)
-        shape[-1] = eta.size
+        shape[-1] = lattice.n_t
         num = num * (np.abs(eta) ** (2 * beta)).reshape(shape)
-    return float(np.sum(_unfold(lattice, num / weight)) * lattice.cell_volume)
+    return float(np.sum(num / weight) * lattice.cell_volume)
 
 
 def radial_integrand(s: float, delta: float, phi: PhiFunction, r):

@@ -145,18 +145,12 @@ class SpectralField:
         object.__setattr__(self, "coeffs", arr)
 
 
-def _folded(freqs: np.ndarray) -> np.ndarray:
-    """The first n // 2 + 1 FFT-order entries of a frequency axis: one of
-    each +-m class."""
-    return freqs[: freqs.size // 2 + 1]
-
-
 def _folded_r(lattice: Lattice, gamma: float) -> np.ndarray:
     """r_gamma on the folded quadrant of the lattice."""
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    xi = _folded(lattice.xi_axis())
-    eta = _folded(lattice.eta_axis())
+    xi = lattice.xi_axis()[: lattice.n_x // 2 + 1]
+    eta = lattice.eta_axis()[: lattice.n_t // 2 + 1]
     sq = np.zeros((xi.size,) * lattice.k + (eta.size,))
     for axis in range(lattice.k):
         shape = [1] * (lattice.k + 1)
