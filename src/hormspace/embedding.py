@@ -97,24 +97,28 @@ def derivative_weight_sum(
         raise ValueError("alpha length must equal the spatial dimension")
     if beta < 0 or any(a < 0 for a in alpha):
         raise ValueError("derivative orders must be nonnegative")
-    # the weight is even in every frequency, so its powers and logs are taken
-    # on the folded quadrant; the numerator stays on the whole lattice,
-    # because xi ** 4 and (-xi) ** 4 may differ in the last bit
     r = _folded_r(lattice, gamma)
-    weight = _unfold(lattice, r ** (2.0 * s) * eval_phi(phi, r) ** 2)
-    num = np.ones(lattice.shape)
-    xi = lattice.xi_axis()
+    weight = r ** (2.0 * s) * eval_phi(phi, r) ** 2
+    # the quotient is taken on the folded quadrant when the numerator is even
+    # bit for bit: xi ** 2 is a square, but xi ** 4 and (-xi) ** 4 may differ
+    # in the last bit, so higher spatial orders take the whole lattice
+    folded = max(alpha) <= 1
+    if not folded:
+        weight = _unfold(lattice, weight)
+    xi = lattice.xi_axis()[: weight.shape[0]]
+    num = np.ones(weight.shape)
     for axis, a in enumerate(alpha):
         if a:
             shape = [1] * (lattice.k + 1)
-            shape[axis] = lattice.n_x
+            shape[axis] = xi.size
             num = num * (xi ** (2 * a)).reshape(shape)
     if beta:
-        eta = lattice.eta_axis()
+        eta = lattice.eta_axis()[: weight.shape[-1]]
         shape = [1] * (lattice.k + 1)
-        shape[-1] = lattice.n_t
+        shape[-1] = eta.size
         num = num * (np.abs(eta) ** (2 * beta)).reshape(shape)
-    return float(np.sum(num / weight) * lattice.cell_volume)
+    quotient = num / weight
+    return float(np.sum(_unfold(lattice, quotient) if folded else quotient) * lattice.cell_volume)
 
 
 def radial_integrand(s: float, delta: float, phi: PhiFunction, r):
