@@ -232,7 +232,9 @@ def petrovskii_check(A: PrincipalSymbol, n_samples: int) -> PetrovskiiVerdict:
     bound Re p >= 0.  The reported min_abs is |A| at the reported witness;
     for the heat symbol it matches the closed form sqrt(3)/2 to about
     1e-16, and a genuine zero is located to |A| ~ 1e-17.  Passes iff
-    min_abs exceeds 1e-9.
+    min_abs / scale exceeds 1e-9, where scale is the power of two at or
+    below the largest |coefficient|, so that multiplying A by a constant
+    leaves the verdict unchanged.
     """
     from scipy.optimize import minimize
 
@@ -298,7 +300,7 @@ def petrovskii_check(A: PrincipalSymbol, n_samples: int) -> PetrovskiiVerdict:
             best_pt = w
 
     return PetrovskiiVerdict(
-        passed=bool(best_val * scale > _DELTA_MIN),
+        passed=bool(best_val > _DELTA_MIN),
         min_abs=best_val * scale,
         witness_xi=best_pt[:n].copy(),
         witness_p=complex(best_pt[n], best_pt[n + 1]),

@@ -11,17 +11,13 @@ SIAM Rev. 38, 1996).  When both masks are constant across the spatial axes
 block per spatial mode, the fast path used by the model-problem module;
 any other region is one block over the whole lattice.  The squared weight
 is even, so every block is real symmetric.  It sees a spatial mode only
-through |xi|, so slab blocks repeat; one eigendecomposition per distinct
-slab block at setup gives the exact condition number of every block and
-the factorization that the many later solves reuse.  The one block of a
-general region is solved once per setup, so it is factored by Cholesky
-instead, and its refusal number is a certified upper bound on the
-condition number: the eigenvalues of a principal submatrix of the
-circulant lie in [min w**2, max w**2], Gershgorin bounds the largest by
-the largest absolute row sum, and trace(G^-1) = ||L^-1||_F**2 bounds the
-inverse of the smallest.  Normal equations with condition number (exact,
-or bound) above 1e12 are refused with ConditioningError, never
-regularised.
+through |xi|, so slab blocks repeat.  Every distinct block is factored
+once at setup by Cholesky, and the many later solves reuse the inverse
+factor.  The factor gives a free certified bound on the condition number;
+only a block whose bound exceeds 1e12 pays for its exact eigenvalues, so
+normal equations are refused (ConditioningError, never regularised)
+exactly when their condition number exceeds 1e12 or the Cholesky
+factorization fails.
 """
 
 from __future__ import annotations
@@ -89,14 +85,22 @@ def _is_time_slab(mask: np.ndarray, n_t: int) -> bool:
     return bool(np.all(rows == rows[0]))
 
 
-def _cholesky_inverse_factor(gram: np.ndarray, w2_max: float):
-    """(bound, R) for one nonempty real symmetric block G = L L^T, where
-    R = L^-T has shape (1,) + G.shape, so that R R^T = G^-1, and bound is a
-    certified upper bound on cond(G): lambda_max <= min(max w**2, the
-    largest absolute row sum) (G is a principal submatrix of a circulant
-    with eigenvalues w**2, and Gershgorin), and 1/lambda_min <= trace(G^-1)
-    = ||L^-1||_F**2.  A failed factorization gives (inf, None).  G is
-    overwritten."""
+def _gram(kernel: np.ndarray, free: np.ndarray, block_shape: tuple) -> np.ndarray:
+    """The normal matrices G[c, i, j] = kernel[c][(x_i - x_j) mod block_shape]
+    over the free points x_i (raveled indices into a block)."""
+    diff = np.zeros((free.size, free.size), dtype=np.intp)
+    for c, n in zip(np.unravel_index(free, block_shape), block_shape):
+        diff = diff * n + (c[:, None] - c[None, :]) % n
+    return kernel[:, diff]
+
+
+def _cholesky_inverse_factor(gram: np.ndarray, w2_max: float) -> float:
+    """Factor one nonempty real symmetric block G = L L^T in place: gram
+    becomes R = L^-T, so that R R^T = G^-1.  Returns a certified upper
+    bound on cond(G): lambda_max <= min(max w**2, the largest absolute row
+    sum) (G is a principal submatrix of a circulant with eigenvalues w**2,
+    and Gershgorin), and 1/lambda_min <= trace(G^-1) = ||L^-1||_F**2.  A
+    failed factorization returns inf and leaves gram unusable."""
     from scipy.linalg.lapack import dpotrf, dtrtri
 
     lam_max = min(w2_max, float(np.linalg.norm(gram, np.inf)))
@@ -104,12 +108,12 @@ def _cholesky_inverse_factor(gram: np.ndarray, w2_max: float):
     # LAPACK works in place
     low, info = dpotrf(gram.T, lower=1, overwrite_a=1)
     if info:
-        return math.inf, None
+        return math.inf
     low_inv, _ = dtrtri(low, lower=1, overwrite_c=1)
+    gram[...] = low_inv.T  # a no-op when LAPACK worked in place
     flat = low_inv.ravel(order="K")
     with np.errstate(over="ignore"):
-        bound = float(lam_max * (flat @ flat))
-    return bound, low_inv.T[None]
+        return float(lam_max * (flat @ flat))
 
 
 class PlusNormSolver:
@@ -122,23 +126,23 @@ class PlusNormSolver:
     first transformed along the spatial axes and splits into one block of
     shape (n_t,) per spatial mode; any other region is one block of shape
     lattice.shape.  The blocks are real symmetric, and rows with the same
-    bytes of w**2 share one: setup decomposes each distinct slab block once,
-    G = Q diag(ev) Q^T, keeps Q and 1/ev (not G) and the class `cls` of
-    every row (146 distinct blocks of 1024 at 32**2 x 64, one at s = 0 with
-    phi = 1).  The block of a general region is factored G = L L^T, and Q
-    holds R = L^-T with 1/ev all ones, so that R R^T = G^-1; its `max_cond`
-    is the bound min(max w**2, max row sum) ||L^-1||_F**2, at least the
-    exact condition number, and a failed factorization is refused as
-    infinite.  Every solve then takes two batched real matrix products.
-    `solve` is `_expand` (the checked data on V, zero elsewhere), the outer
-    transform along the spatial axes of a slab, `_minimise` over every block
-    (the block solve and the energy) and the inverse outer transform of the
-    extension.  Data of a slab that is already in spatial modes and
-    occupies only some of them, where only the norm is needed, goes to
-    `_minimise` with those rows alone: a block whose data vanishes has the
-    zero minimiser.  A block condition number above 1e12, or an infinite
-    one, raises ConditioningError, whose message says whether the number is
-    exact or an upper bound: the answer is refused rather than regularised.
+    bytes of w**2 share one: setup factors each distinct block once,
+    G = L L^T, and keeps Q = R = L^-T (not G), so that R R^T = G^-1, and
+    the class `cls` of every row (146 distinct blocks of 1024 at
+    32**2 x 64, one at s = 0 with phi = 1).  `max_cond` is the largest
+    over the blocks of the Cholesky bound, or of the exact condition
+    number for a block whose bound exceeds 1e12, so it is never below the
+    exact largest one.  Every solve, slab or general, takes two batched
+    real matrix products.  `solve` is `_expand` (the checked data on V,
+    zero elsewhere), the outer transform along the spatial axes of a slab,
+    `_minimise` over every block (the block solve and the energy) and the
+    inverse outer transform of the extension.  Data of a slab that is
+    already in spatial modes and occupies only some of them, where only the
+    norm is needed, goes to `_minimise` with those rows alone: a block
+    whose data vanishes has the zero minimiser.  An exact condition number
+    above 1e12, or a failed factorization (infinite), raises
+    ConditioningError, whose message says which: the answer is refused
+    rather than regularised.
     """
 
     def __init__(self, idx: AnisotropicIndex, region: RegionMask):
@@ -162,32 +166,24 @@ class PlusNormSolver:
         _, first, self.cls = np.unique(key, return_index=True, return_inverse=True)
         # all slab rows share one free set; a general region has one row
         self.free = np.flatnonzero(self.free_mask.reshape(n_blocks, -1)[0])
-        diff = np.zeros((self.free.size, self.free.size), dtype=np.intp)
-        for c, n in zip(np.unravel_index(self.free, block_shape), block_shape):
-            diff = diff * n + (c[:, None] - c[None, :]) % n
         # w**2 is even in every frequency, so its inverse DFT is real
         kernel = np.fft.ifftn(self.w2[first], axes=self.block_axes).real.reshape(first.size, -1)
-        gram = kernel[:, diff]
-        del diff  # nf**2 indices, freed before the factorization's workspace
-        if not self.free.size:
-            # an empty free set leaves nothing to solve
-            self.max_cond, how = 1.0, "exact"
-            self.Q, self.inv_ev = gram, np.ones((len(gram), 0, 1))
-        elif self.slab:
-            ev, self.Q = np.linalg.eigh(gram)
-            # identical blocks have identical spectra, so this covers every
-            # row; a smallest eigenvalue at or below 0 may overflow the
-            # quotient to inf (and then 1/ev is never used)
-            with np.errstate(over="ignore", divide="ignore"):
-                self.max_cond = float(np.max(ev[:, -1] / np.maximum(ev[:, 0], 1e-300)))
-                self.inv_ev = 1.0 / ev[..., None]
-            how = "exact"
-        else:
-            # one block, solved once: a Cholesky factor is enough, and its
-            # inverse gives a certified bound on the condition number
-            self.max_cond, self.Q = _cholesky_inverse_factor(gram[0], float(self.w2.max()))
-            how = "upper bound" if self.Q is not None else "Cholesky failed"
-            self.inv_ev = np.ones((1, self.free.size, 1))
+        self.Q = _gram(kernel, self.free, block_shape)
+        cond = np.ones(first.size)
+        if self.free.size:
+            w2_max = w2_rows[first].max(axis=1)
+            for c in range(first.size):
+                cond[c] = _cholesky_inverse_factor(self.Q[c], float(w2_max[c]))
+        failed = np.isinf(cond)
+        # only blocks refused on the bound are rebuilt for their exact number
+        over = np.flatnonzero(~(cond <= _COND_LIMIT) & ~failed)
+        if over.size:
+            ev = np.linalg.eigvalsh(_gram(kernel[over], self.free, block_shape))
+            # a smallest eigenvalue at or below 0 may overflow the quotient
+            with np.errstate(over="ignore"):
+                cond[over] = ev[:, -1] / np.maximum(ev[:, 0], 1e-300)
+        self.max_cond = float(cond.max())
+        how = "Cholesky failed" if failed.any() else "exact"
         if not self.max_cond <= _COND_LIMIT:
             raise ConditioningError(
                 f"normal equations have condition number {self.max_cond:.3g} ({how}) > "
@@ -218,7 +214,7 @@ class PlusNormSolver:
         # broadcast, not copied once per row
         cls = slice(None) if len(self.Q) == 1 else self.cls[rows]
         q = self.Q[cls]
-        x = q @ (self.inv_ev[cls] * (q.transpose(0, 2, 1) @ rhs))
+        x = q @ (q.transpose(0, 2, 1) @ rhs)
         blocks[:, self.free] = -(x[..., 0] + 1j * x[..., 1])
         coeffs = np.fft.fftn(blocks.reshape(w2.shape), axes=axes, norm="ortho")
         energy = float(np.sum(w2 * np.abs(coeffs) ** 2))

@@ -147,15 +147,39 @@ def _general_cases():
 
 @pytest.mark.parametrize("region,idx", _general_cases())
 def test_general_region_condition_bound_is_certified_and_not_loose(region, idx):
-    # a general region's refusal number is the Cholesky bound
+    # an accepted general region's number is the Cholesky bound
     # min(max w**2, largest row sum) * ||L^-1||_F**2: never below the exact
-    # condition number, and at most n_free times it
+    # condition number, and at most n_free times it; a refused one's is the
+    # exact number, from a normal matrix built another way (s = 15 here)
     try:
-        bound = ps.PlusNormSolver(idx, region).max_cond
+        cond = ps.PlusNormSolver(idx, region).max_cond
     except ConditioningError as err:
-        bound = err.condition_number
+        cond = err.condition_number
     exact, n_free = _exact_cond(idx, region)
-    assert exact * (1 - 1e-9) <= bound <= n_free * exact
+    if cond > ps._COND_LIMIT:
+        assert cond == pytest.approx(exact, rel=1e-4)
+    else:
+        assert exact * (1 - 1e-9) <= cond <= n_free * exact
+
+
+@pytest.mark.parametrize("s,accepted", [(14.2, True), (14.4, True), (14.6, True), (14.8, False)])
+def test_general_refusals_follow_the_exact_condition_number(s, accepted):
+    # the Cholesky bound exceeds 1e12 at every s here (1.8e12 against an
+    # exact 6.6e11 at s = 14.4), so each setup escalates to the exact
+    # number: below 1e12 the norm is answered and matches the oracle, above
+    # it (1.285e12 at s = 14.8) the refusal carries that exact number
+    region, u = scattered_16x32()
+    idx = sp.AnisotropicIndex(s, 0.5)
+    exact, _ = _exact_cond(idx, region)
+    assert (exact <= ps._COND_LIMIT) == accepted
+    if accepted:
+        solver = ps.PlusNormSolver(idx, region)
+        assert solver.max_cond == pytest.approx(exact, rel=1e-4)
+        assert solver.solve(u).norm == pytest.approx(oracle_plus_norm(u, idx, region), rel=1e-8)
+    else:
+        with pytest.raises(ConditioningError, match=r"\(exact\) > ") as err:
+            ps.PlusNormSolver(idx, region)
+        assert err.value.condition_number == pytest.approx(exact, rel=1e-4)
 
 
 def test_failed_cholesky_is_refused_as_infinite():
@@ -169,7 +193,7 @@ def test_failed_cholesky_is_refused_as_infinite():
 
 def test_refusal_says_how_its_number_was_obtained():
     region, _ = scattered_16x32()
-    with pytest.raises(ConditioningError, match=r"condition number \S+ \(upper bound\) > "):
+    with pytest.raises(ConditioningError, match=r"condition number \S+ \(exact\) > "):
         ps.PlusNormSolver(sp.AnisotropicIndex(16.0, 0.5), region)
     lat = sp.Lattice(k=2, n_x=8, n_t=64, L_x=2 * math.pi, L_t=2 * math.pi)
     slab = ps.time_window_region(lat, 0.0, lat.L_t / 4)
@@ -177,39 +201,56 @@ def test_refusal_says_how_its_number_was_obtained():
         ps.PlusNormSolver(sp.AnisotropicIndex(20.4, 0.5), slab)
 
 
-@pytest.mark.parametrize("slab", [False, True])
-def test_only_slab_setups_call_eigh(monkeypatch, slab):
-    # a general region is solved once per setup, so it is factored by
-    # Cholesky; a slab setup keeps one batched eigh over its distinct blocks
-    calls = []
+def _shared_slab_8x64():
+    """A k=2, 8**2 x 64 time-window slab whose 64 spatial modes share 15 blocks."""
+    lat = sp.Lattice(k=2, n_x=8, n_t=64, L_x=2 * math.pi, L_t=2 * math.pi)
+    return ps.time_window_region(lat, 0.0, lat.L_t / 4)
+
+
+@pytest.mark.parametrize(
+    "kind,s,escalated",
+    [("scattered", 1.5, False), ("slab", 1.5, False), ("scattered", 14.4, True), ("slab", 20.2, True)],
+)
+def test_eigvalsh_runs_only_when_a_bound_exceeds_the_limit(monkeypatch, kind, s, escalated):
+    # every block is factored by Cholesky and no setup calls eigh; the exact
+    # eigvalsh runs once, on the blocks whose certified bound exceeds 1e12
+    calls, bounds = [], []
     for name in ("eigh", "eigvalsh"):
         original = getattr(np.linalg, name)
         monkeypatch.setattr(
             np.linalg, name, lambda *a, _f=original, _n=name, **kw: calls.append(_n) or _f(*a, **kw)
         )
-    region, _ = scattered_16x32()
-    if slab:
-        region = ps.time_window_region(region.lattice, 0.0, 1.0)
-    ps.PlusNormSolver(sp.AnisotropicIndex(1.5, 0.5), region)
-    assert calls == (["eigh"] if slab else [])
+    factor = ps._cholesky_inverse_factor
+    monkeypatch.setattr(ps, "_cholesky_inverse_factor", lambda *a: bounds.append(factor(*a)) or bounds[-1])
+    region = scattered_16x32()[0] if kind == "scattered" else _shared_slab_8x64()
+    ps.PlusNormSolver(sp.AnisotropicIndex(s, 0.5), region)
+    assert (max(bounds) > ps._COND_LIMIT) == escalated
+    assert calls == (["eigvalsh"] if escalated else [])
 
 
 def _per_row_blocks(idx, region):
-    """Q and the eigenvalues of every block of a slab region, one eigh per
-    spatial mode: the arithmetic of a solver that shares no block."""
+    """R = L^-T and the certified bound of every block of a slab region, one
+    dpotrf + dtrtri per spatial mode, and the exact condition numbers by
+    eigvalsh: the arithmetic of a solver that shares no block."""
+    from scipy.linalg.lapack import dpotrf, dtrtri
+
     lat = region.lattice
     w2 = (sp.weight_array(lat, idx) ** 2).reshape(-1, lat.n_t)
     free = np.flatnonzero((region.t_nonneg_mask & ~region.v_mask).reshape(-1, lat.n_t)[0])
     kernel = np.fft.ifft(w2, axis=-1).real
     gram = kernel[:, (free[:, None] - free[None, :]) % lat.n_t]
-    pairs = [np.linalg.eigh(g) for g in gram]
-    return np.array([q for _, q in pairs]), np.array([ev for ev, _ in pairs])
-
-
-def _max_cond(ev):
-    return float(np.max(ev[:, -1] / np.maximum(ev[:, 0], 1e-300)))
-
-
+    ev = np.linalg.eigvalsh(gram)
+    r, bounds = np.empty_like(gram), []
+    for i, g in enumerate(gram):
+        # the lower triangle of g.T, as in the solver: kernel[m] and
+        # kernel[-m] need not be bit-equal, so g is symmetric only to rounding
+        low, info = dpotrf(g.T, lower=1)
+        assert info == 0
+        low_inv, _ = dtrtri(low, lower=1)
+        r[i] = low_inv.T
+        lam_max = min(w2[i].max(), np.abs(g).sum(axis=1).max())
+        bounds.append(lam_max * np.sum(low_inv**2))
+    return r, np.array(bounds), ev[:, -1] / ev[:, 0]
 @pytest.mark.parametrize(
     "k,n_x,n_t,L_x,s,n_distinct",
     [
@@ -227,14 +268,14 @@ def test_shared_blocks_equal_per_row_arithmetic(k, n_x, n_t, L_x, s, n_distinct)
     idx = sp.AnisotropicIndex(s, 0.5)
     solver = ps.PlusNormSolver(idx, region)
     w2_rows = (sp.weight_array(lat, idx) ** 2).reshape(-1, n_t)
-    assert len(solver.Q) == len(solver.inv_ev) == n_distinct
+    assert len(solver.Q) == n_distinct
     assert n_distinct == len(np.unique(w2_rows, axis=0))
-    q_ref, ev_ref = _per_row_blocks(idx, region)
-    assert np.array_equal(solver.Q[solver.cls], q_ref)
-    assert np.array_equal(solver.inv_ev[solver.cls], 1.0 / ev_ref[..., None])
-    assert solver.max_cond == _max_cond(ev_ref)
+    r_ref, bounds, exact = _per_row_blocks(idx, region)
+    assert np.array_equal(solver.Q[solver.cls], r_ref)
+    assert solver.max_cond == pytest.approx(bounds.max(), rel=1e-12)
+    assert np.max(exact) <= solver.max_cond * (1 + 1e-9)
     per_row = copy.copy(solver)
-    per_row.Q, per_row.inv_ev = q_ref, 1.0 / ev_ref[..., None]
+    per_row.Q = r_ref
     per_row.cls = np.arange(len(w2_rows))
     u = _data(region, np.random.default_rng(n_x + k))
     got, want = solver.solve(u), per_row.solve(u)
@@ -244,18 +285,20 @@ def test_shared_blocks_equal_per_row_arithmetic(k, n_x, n_t, L_x, s, n_distinct)
 
 def test_refusal_covers_every_row_of_a_shared_slab():
     # 64 spatial modes share 15 blocks; the refusal number is the largest
-    # over all 64 rows, just below the limit at s = 20.2 and above at 20.4
-    lat = sp.Lattice(k=2, n_x=8, n_t=64, L_x=2 * math.pi, L_t=2 * math.pi)
-    region = ps.time_window_region(lat, 0.0, lat.L_t / 4)
+    # over all 64 rows, just below the limit at s = 20.2 and above at 20.4.
+    # Both bounds exceed 1e12, so both numbers are the escalated exact ones
+    region = _shared_slab_8x64()
     below = sp.AnisotropicIndex(20.2, 0.5)
     solver = ps.PlusNormSolver(below, region)
     assert len(solver.Q) == 15
-    assert 0.9 * ps._COND_LIMIT < solver.max_cond == _max_cond(_per_row_blocks(below, region)[1])
+    assert 0.9 * ps._COND_LIMIT < solver.max_cond
+    assert solver.max_cond == pytest.approx(_per_row_blocks(below, region)[2].max(), rel=1e-12)
     above = sp.AnisotropicIndex(20.4, 0.5)
     with pytest.raises(ConditioningError) as err:
         ps.PlusNormSolver(above, region)
     assert err.value.condition_number > ps._COND_LIMIT
-    assert err.value.condition_number == _max_cond(_per_row_blocks(above, region)[1])
+    exact = _per_row_blocks(above, region)[2].max()
+    assert err.value.condition_number == pytest.approx(exact, rel=1e-12)
 
 
 def test_singular_slab_is_refused_without_overflow_warning():
