@@ -232,9 +232,8 @@ def petrovskii_check(A: PrincipalSymbol, n_samples: int) -> PetrovskiiVerdict:
     bound Re p >= 0.  The reported min_abs is |A| at the reported witness;
     for the heat symbol it matches the closed form sqrt(3)/2 to about
     1e-16, and a genuine zero is located to |A| ~ 1e-17.  Passes iff
-    min_abs / scale exceeds 1e-9, where scale is the power of two at or
-    below the largest |coefficient|, so that multiplying A by a constant
-    leaves the verdict unchanged.
+    min_abs > 1e-9 * (sum of |term| at the witness, the scale of A's rounding
+    error there), so no constant factor or coefficient spread changes it.
     """
     from scipy.optimize import minimize
 
@@ -299,8 +298,9 @@ def petrovskii_check(A: PrincipalSymbol, n_samples: int) -> PetrovskiiVerdict:
             best_val = val
             best_pt = w
 
+    size = _evaluate((E, beta, abs(table[2])), abs(best_pt[None, :n]), np.hypot(*best_pt[n:, None]))
     return PetrovskiiVerdict(
-        passed=bool(best_val > _DELTA_MIN),
+        passed=bool(best_val > _DELTA_MIN * size[0]),
         min_abs=best_val * scale,
         witness_xi=best_pt[:n].copy(),
         witness_p=complex(best_pt[n], best_pt[n + 1]),

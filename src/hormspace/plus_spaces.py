@@ -87,20 +87,21 @@ def _is_time_slab(mask: np.ndarray, n_t: int) -> bool:
 
 def _gram(kernel: np.ndarray, free: np.ndarray, block_shape: tuple) -> np.ndarray:
     """The normal matrices G[c, i, j] = kernel[c][(x_i - x_j) mod block_shape]
-    over the free points x_i (raveled indices into a block)."""
+    over the free points x_i (raveled indices into a block), in C order."""
     diff = np.zeros((free.size, free.size), dtype=np.intp)
     for c, n in zip(np.unravel_index(free, block_shape), block_shape):
         diff = diff * n + (c[:, None] - c[None, :]) % n
-    return kernel[:, diff]
+    return np.take(kernel, diff, axis=1)
 
 
 def _cholesky_inverse_factor(gram: np.ndarray, w2_max: float) -> float:
-    """Factor one nonempty real symmetric block G = L L^T in place: gram
-    becomes R = L^-T, so that R R^T = G^-1.  Returns a certified upper
-    bound on cond(G): lambda_max <= min(max w**2, the largest absolute row
-    sum) (G is a principal submatrix of a circulant with eigenvalues w**2,
-    and Gershgorin), and 1/lambda_min <= trace(G^-1) = ||L^-1||_F**2.  A
-    failed factorization returns inf and leaves gram unusable."""
+    """Factor one nonempty real symmetric block G = L L^T in place: gram (C
+    order, float64) becomes R = L^-T, so that R R^T = G^-1.  Returns a
+    certified upper bound on cond(G): lambda_max <= min(max w**2, the
+    largest absolute row sum) (G is a principal submatrix of a circulant
+    with eigenvalues w**2, and Gershgorin), and 1/lambda_min <= trace(G^-1)
+    = ||L^-1||_F**2, capped at the largest float; inf means only a failed
+    factorization, which leaves gram unusable."""
     from scipy.linalg.lapack import dpotrf, dtrtri
 
     lam_max = min(w2_max, float(np.linalg.norm(gram, np.inf)))
@@ -110,10 +111,9 @@ def _cholesky_inverse_factor(gram: np.ndarray, w2_max: float) -> float:
     if info:
         return math.inf
     low_inv, _ = dtrtri(low, lower=1, overwrite_c=1)
-    gram[...] = low_inv.T  # a no-op when LAPACK worked in place
     flat = low_inv.ravel(order="K")
     with np.errstate(over="ignore"):
-        return float(lam_max * (flat @ flat))
+        return min(float(lam_max * (flat @ flat)), float(np.finfo(float).max))
 
 
 class PlusNormSolver:

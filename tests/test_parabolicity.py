@@ -125,16 +125,13 @@ def test_non_finite_coefficient_refused(value):
 
 
 def test_petrovskii_huge_coefficients_give_verdict():
-    # |A|**2 would overflow at these magnitudes; the check still decides.
-    # Relative to its largest coefficient the symbol is xi_1**2 plus terms
-    # of size 1/big, so its scaled minimum (~1/big) is below 1e-9 and the
-    # scale-relative verdict fails it
+    # |A|**2 would overflow at these magnitudes; the check still decides
     for big in (1e300, 1e308):
         A = pb.PrincipalSymbol(
             n=2, b=1, m=1, coeffs={((2, 0), 0): big, ((0, 2), 0): 1.0, ((0, 0), 1): 1.0}
         )
         v = pb.petrovskii_check(A, 500)
-        assert not v.passed
+        assert v.passed
         assert math.isfinite(v.min_abs) and v.min_abs > 0
     v = pb.petrovskii_check(
         pb.PrincipalSymbol(
@@ -147,10 +144,10 @@ def test_petrovskii_huge_coefficients_give_verdict():
 
 @pytest.mark.parametrize("factor", [1e300, 1e-300])
 def test_petrovskii_verdict_is_scale_relative(factor):
-    # the verdict compares the minimum of A / scale with 1e-9, so a constant
-    # factor changes min_abs but not the verdict: backward heat times 1e300
-    # once passed on an absolute min_abs of 3.1e282, and heat times 1e-300
-    # would fail on an absolute rule
+    # the verdict compares min_abs with 1e-9 times the terms' magnitudes at
+    # the witness, so a constant factor changes min_abs but not the verdict:
+    # backward heat times 1e300 once passed on an absolute min_abs of
+    # 3.1e282, and heat times 1e-300 would fail on an absolute rule
     for base, parabolic in ((heat_symbol(), True), (backward_heat_symbol(), False)):
         scaled = pb.PrincipalSymbol(
             n=base.n, b=base.b, m=base.m, coeffs={k: factor * c for k, c in base.coeffs.items()}

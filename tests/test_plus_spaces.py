@@ -201,6 +201,26 @@ def test_refusal_says_how_its_number_was_obtained():
         ps.PlusNormSolver(sp.AnisotropicIndex(20.4, 0.5), slab)
 
 
+def test_overflowed_bound_is_escalated_not_failed(monkeypatch):
+    # a bound that overflows is returned finite, so only a failed
+    # factorization reads inf; a block with that bound is escalated to its
+    # exact number, and a well-conditioned one is accepted
+    overflowing = np.diag([1e200, 1e-200])
+    assert ps._cholesky_inverse_factor(overflowing, 1e300) == np.finfo(float).max
+    assert np.array_equal(overflowing, np.diag([1e-100, 1e100]))
+    factor = ps._cholesky_inverse_factor
+
+    def factor_with_overflowed_bound(gram, w2_max):
+        factor(gram, w2_max)
+        return factor(np.diag([1e200, 1e-200]), 1e300)
+
+    monkeypatch.setattr(ps, "_cholesky_inverse_factor", factor_with_overflowed_bound)
+    region, _ = scattered_16x32()
+    idx = sp.AnisotropicIndex(1.5, 0.5)
+    solver = ps.PlusNormSolver(idx, region)
+    assert solver.max_cond == pytest.approx(_exact_cond(idx, region)[0], rel=1e-9)
+
+
 def _shared_slab_8x64():
     """A k=2, 8**2 x 64 time-window slab whose 64 spatial modes share 15 blocks."""
     lat = sp.Lattice(k=2, n_x=8, n_t=64, L_x=2 * math.pi, L_t=2 * math.pi)
@@ -251,6 +271,8 @@ def _per_row_blocks(idx, region):
         lam_max = min(w2[i].max(), np.abs(g).sum(axis=1).max())
         bounds.append(lam_max * np.sum(low_inv**2))
     return r, np.array(bounds), ev[:, -1] / ev[:, 0]
+
+
 @pytest.mark.parametrize(
     "k,n_x,n_t,L_x,s,n_distinct",
     [
