@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .class_m import PhiFunction, constant_one, eval_phi, eval_phi_of_exp
-from .spectra import Lattice, _folded_r, _unfold
+from .spectra import Lattice, _folded_r, _folded_sum
 
 __all__ = [
     "criterion_verdict",
@@ -97,14 +97,12 @@ def derivative_weight_sum(
         raise ValueError("alpha length must equal the spatial dimension")
     if beta < 0 or any(a < 0 for a in alpha):
         raise ValueError("derivative orders must be nonnegative")
+    # the summand is even in every frequency, so it is taken on the folded
+    # quadrant and summed against the number of lattice points each entry
+    # stands for; xi ** 4 and (-xi) ** 4 may differ in the last bit, so the
+    # sum agrees with a whole-lattice sum up to rounding
     r = _folded_r(lattice, gamma)
     weight = r ** (2.0 * s) * eval_phi(phi, r) ** 2
-    # the quotient is taken on the folded quadrant when the numerator is even
-    # bit for bit: xi ** 2 is a square, but xi ** 4 and (-xi) ** 4 may differ
-    # in the last bit, so higher spatial orders take the whole lattice
-    folded = max(alpha) <= 1
-    if not folded:
-        weight = _unfold(lattice, weight)
     xi = lattice.xi_axis()[: weight.shape[0]]
     num = np.ones(weight.shape)
     for axis, a in enumerate(alpha):
@@ -117,8 +115,7 @@ def derivative_weight_sum(
         shape = [1] * (lattice.k + 1)
         shape[-1] = eta.size
         num = num * (np.abs(eta) ** (2 * beta)).reshape(shape)
-    quotient = num / weight
-    return float(np.sum(_unfold(lattice, quotient) if folded else quotient) * lattice.cell_volume)
+    return _folded_sum(lattice, num / weight) * lattice.cell_volume
 
 
 def radial_integrand(s: float, delta: float, phi: PhiFunction, r):

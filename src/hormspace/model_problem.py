@@ -80,7 +80,10 @@ class PeriodicParabolicOperator:
                 raise ValueError(f"bad lower-order index {alpha}")
             if sum(alpha) >= 2 * self.symbol.m:
                 raise ValueError("lower-order terms must have |alpha| < 2m")
-            lo[alpha] = complex(c)
+            c = complex(c)
+            if not np.isfinite(c):
+                raise ValueError(f"lower-order coefficient at {alpha} is not finite")
+            lo[alpha] = c
         object.__setattr__(self, "lower_order", lo)
         verdict = petrovskii_check(self.symbol, 512)
         if not verdict.passed:
@@ -261,19 +264,13 @@ def apply_operator(
     op: PeriodicParabolicOperator,
     u: GridFunction,
     *,
-    f: GridFunction | None = None,
     time_derivative: str = "spectral",
 ) -> GridFunction:
     """Apply the operator: spatial spectral multiplier plus a_t d/dt.
 
     time_derivative selects how d/dt is discretized: "spectral" (exact for
-    smooth time-periodic u), "fd4" (a local stencil, usable on solutions
-    whose free tail wraps around the window), or "duhamel"
-    (exact differentiation of the stored Duhamel representation; requires
-    the forcing f).  "duhamel" takes d/dt u = f / a_t - lambda u, so the
-    result is f for any u, not only for the solve_periodic solution of
-    f (2.6e-16 relative on random_grid input at 16**2 x 32): it checks only
-    that lambda = multiplier / a_t.
+    smooth time-periodic u) or "fd4" (a local stencil, usable on solutions
+    whose free tail wraps around the window).
     """
     lat = u.lattice
     op._check_lattice(lat)
@@ -281,16 +278,6 @@ def apply_operator(
     mult = op.spatial_multiplier(lat)
     u_modes = np.fft.fftn(u.samples, axes=tuple(range(k)), norm="ortho")
     spatial = mult[..., None] * u_modes
-    if time_derivative == "duhamel":
-        if f is None:
-            raise ValueError("duhamel differentiation needs the forcing f")
-        lam = op.lambda_modes(lat)
-        fhat = np.fft.fftn(f.samples, axes=tuple(range(k)), norm="ortho")
-        dudt_modes = fhat / op.a_t - lam[..., None] * u_modes
-        total = op.a_t * dudt_modes + spatial
-        return GridFunction(
-            lat, np.fft.ifftn(total, axes=tuple(range(k)), norm="ortho")
-        )
     dudt = _time_derivative(u.samples, lat, time_derivative)
     spatial_phys = np.fft.ifftn(spatial, axes=tuple(range(k)), norm="ortho")
     return GridFunction(lat, op.a_t * dudt + spatial_phys)

@@ -18,7 +18,8 @@ Conventions used throughout the package:
   xi**2 and |eta|.  They are built on the folded quadrant, the first
   n // 2 + 1 FFT-order entries of every axis (m = 0, ..., n/2 - 1 and
   -n/2), which holds every value they take, and `_unfold` expands them to
-  the whole lattice with the same bits at every point.
+  the whole lattice with the same bits at every point.  `_folded_sum` sums
+  an even array over the whole lattice from its folded quadrant alone.
 """
 
 from __future__ import annotations
@@ -170,6 +171,20 @@ def _unfold(lattice: Lattice, a: np.ndarray) -> np.ndarray:
         i = np.arange(n)
         a = np.take(a, np.where(i <= n // 2, i, n - i), axis=axis)
     return a
+
+
+def _folded_sum(lattice: Lattice, a: np.ndarray) -> float:
+    """Sum over the whole lattice of the even array whose folded quadrant
+    is a, without unfolding it: every folded entry of an axis stands for
+    m and -m, two lattice points, except m = 0 and m = -n/2, which are
+    their own mirrors (one point, and n = 1 has only m = 0)."""
+    for axis, n in enumerate(lattice.shape):
+        count = np.full(n // 2 + 1, 2.0)
+        count[[0, -1]] = 1.0
+        shape = [1] * a.ndim
+        shape[axis] = count.size
+        a = a * count.reshape(shape)
+    return float(np.sum(a))
 
 
 def r_gamma_array(lattice: Lattice, gamma: float) -> np.ndarray:

@@ -90,6 +90,33 @@ def oracle_plus_norm(u_full, idx, region):
     return float(np.linalg.norm(resid) * math.sqrt(lat.cell_volume))
 
 
+def duhamel_step_residual(op, f, u, nodes=64):
+    """Relative misfit of u to the Duhamel steps of the forcing f, in
+    spatial modes: from every time sample t_j >= 0 to the next, with
+    h = t_{j+1} - t_j, the step must give
+
+        u_{j+1} = e^{-lambda h} u_j
+                  + (1/a_t) int_0^h e^{-lambda (h - s)} ((1 - s/h) f_j + (s/h) f_{j+1}) ds,
+
+    the exact solution for the piecewise-linear interpolant of f.  The
+    integral is taken by Gauss-Legendre quadrature, independently of the
+    solver's phi1/phi2 weights.  Returns ||misfit|| / ||u_{j+1}|| over all
+    modes and steps."""
+    lat = f.lattice
+    axes = tuple(range(lat.k))
+    fh = np.fft.fftn(f.samples, axes=axes, norm="ortho").reshape(-1, lat.n_t)
+    uh = np.fft.fftn(u.samples, axes=axes, norm="ortho").reshape(-1, lat.n_t)
+    lam = op.lambda_modes(lat).reshape(-1, 1)
+    h = lat.L_t / lat.n_t
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    s, w = 0.5 * h * (x + 1.0), 0.5 * h * w
+    kernel = np.exp(-lam * (h - s)) * w
+    left, right = kernel @ (1.0 - s / h), kernel @ (s / h)
+    j = np.arange(lat.n_t // 2, lat.n_t - 1)
+    step = np.exp(-lam * h) * uh[:, j] + (left[:, None] * fh[:, j] + right[:, None] * fh[:, j + 1]) / op.a_t
+    return float(np.linalg.norm(uh[:, j + 1] - step) / np.linalg.norm(uh[:, j + 1]))
+
+
 def scattered_16x32():
     """A k=1, 16x32 lattice with a seeded scattered 30% region in t >= 0 and
     complex data on it.  At gamma = 1/2 its normal equations have condition

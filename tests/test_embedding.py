@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -115,6 +116,35 @@ def test_weight_sum_matches_direct_loop():
                     total += num / (r ** (2 * (s + 2 * (beta + sum(alpha)))) * cm.eval_phi(phi, r) ** 2)
         total *= lat.cell_volume
         assert got == pytest.approx(total, rel=1e-12)
+
+
+@pytest.mark.parametrize("alpha, beta", [((2, 0, 0), 0), ((1, 1, 0), 0), ((0, 0, 0), 2)])
+def test_weight_sum_stays_on_the_folded_quadrant(monkeypatch, alpha, beta):
+    # one folded r_gamma array, summed against the mirror counts: nothing is
+    # unfolded, and no array as large as the lattice is built (the lattice
+    # has 16 times the points of its folded quadrant)
+    calls = []
+
+    def spy(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name, fn in (("_folded_r", sp._folded_r), ("_unfold", sp._unfold)):
+        for mod in (sp, em):
+            if getattr(mod, name, None) is fn:
+                monkeypatch.setattr(mod, name, spy(name, fn))
+    lat = sp.Lattice(k=3, n_x=32, n_t=32, L_x=2 * math.pi, L_t=2 * math.pi)
+    tracemalloc.start()
+    try:
+        em.derivative_weight_sum(lat, 3.0, 0.5, cm.log_power([1.0]), alpha, beta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert calls == ["_folded_r"]
+    assert peak < 8 * lat.size
 
 
 def test_weight_sum_monotone_in_s():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import backward_heat_symbol, heat_symbol, squared_heat_symbol
+from conftest import backward_heat_symbol, duhamel_step_residual, heat_symbol, squared_heat_symbol
 from hormspace import class_m as cm
 from hormspace import model_problem as mp
 from hormspace import plus_spaces as ps
@@ -33,6 +33,14 @@ def test_kappa_two_rejected():
 def test_nonparabolic_rejected():
     with pytest.raises(ValueError):
         mp.PeriodicParabolicOperator(symbol=backward_heat_symbol(), L_x=2 * math.pi, tau=1.0)
+
+
+@pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf, complex(0.0, math.nan)])
+def test_non_finite_lower_order_coefficient_rejected(c):
+    with pytest.raises(ValueError, match=r"lower-order coefficient at \(0, 1\) is not finite"):
+        mp.PeriodicParabolicOperator(
+            symbol=heat_symbol(), L_x=2 * math.pi, tau=1.0, lower_order={(0, 1): c}
+        )
 
 
 def test_lambda_modes_heat(heat_op):
@@ -162,13 +170,22 @@ def test_sine_forcing_second_order_convergence(heat_op):
     assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.15)
 
 
-def test_duhamel_derivative_reproduces_forcing(heat_op):
+@pytest.mark.parametrize("lower_order", [{}, {(1, 0): 0.5j, (0, 0): 0.25}])
+def test_solve_takes_exact_duhamel_steps(lower_order):
+    # the solve is exact for piecewise-linear forcing, so every step matches
+    # an independent quadrature of the Duhamel integral, for real and for
+    # complex decay rates; a u off by one part in 1e6 does not
+    op = mp.PeriodicParabolicOperator(
+        symbol=heat_symbol(), L_x=2 * math.pi, tau=math.pi / 2, lower_order=lower_order
+    )
     lat = _lattice()
-    f = mp.synthesize_forcing(lat, heat_op.tau, seed=5)
-    u = mp.solve_periodic(heat_op, f)
-    au = mp.apply_operator(heat_op, u, f=f, time_derivative="duhamel")
-    scale = np.max(np.abs(f.samples))
-    assert np.max(np.abs(au.samples - f.samples)) <= 1e-12 * scale
+    t = lat.t_axis()
+    bump = np.where((t >= 0) & (t <= op.tau), np.sin(2 * t) ** 2, 0.0)
+    f = sp.GridFunction(lat, sp.random_grid(lat, 3).samples * bump)
+    u = mp.solve_periodic(op, f)
+    assert duhamel_step_residual(op, f, u) <= 1e-12
+    perturbed = sp.GridFunction(lat, u.samples * (1.0 + 1e-6))
+    assert duhamel_step_residual(op, f, perturbed) > 1e-8
 
 
 def test_apply_operator_constant_in_x_is_time_derivative(heat_op):

@@ -242,9 +242,14 @@ _phis = st.one_of(
     alpha_beta=st.tuples(st.lists(st.integers(0, 2), min_size=3, max_size=3), st.integers(0, 2)),
 )
 # xi ** 4 and (-xi) ** 4 differ in the last bit at m = 7 and -7 on this
-# lattice, so a numerator built on the folded quadrant changes the sum
+# lattice, so the folded weight sum agrees with the full one only up to rounding
 @example(k=3, n_x=16, n_t=1, L_x=13.564051025935854, L_t=1.0, gamma=1.0, s=0.0,
          ds=(0.0, 0.0), phi=cm.constant_one(), alpha_beta=([1, 2, 1], 0))
+# axes of one and two points: every folded entry stands for one lattice point
+@example(k=2, n_x=1, n_t=2, L_x=1.0, L_t=3.0, gamma=0.5, s=1.5,
+         ds=(0.5, 0.5), phi=cm.log_power([1.0]), alpha_beta=([0, 0, 0], 2))
+@example(k=2, n_x=2, n_t=1, L_x=3.0, L_t=1.0, gamma=0.5, s=1.5,
+         ds=(0.5, 0.5), phi=cm.log_power([1.0]), alpha_beta=([2, 1, 0], 0))
 def test_folded_weights_have_the_full_lattice_bits(
     k, n_x, n_t, L_x, L_t, gamma, s, ds, phi, alpha_beta
 ):
@@ -271,7 +276,31 @@ def test_folded_weights_have_the_full_lattice_bits(
     num = num * (np.abs(lat.eta_axis()) ** (2 * beta)).reshape((1,) * k + (n_t,))
     weight = r ** (2.0 * s) * cm.eval_phi(phi, r) ** 2
     want = float(np.sum(num / weight) * lat.cell_volume)
-    assert _same_bits(em.derivative_weight_sum(lat, s, gamma, phi, alpha, beta), want)
+    got = em.derivative_weight_sum(lat, s, gamma, phi, alpha, beta)
+    assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("n, counts", [(1, [1]), (2, [1, 1]), (4, [1, 2, 1]), (8, [1, 2, 2, 2, 1])])
+@pytest.mark.parametrize("time_axis", [False, True])
+def test_folded_sum_counts_the_mirrors_of_each_entry(n, counts, time_axis):
+    # on one axis of n points, folded entry i stands for counts[i] lattice
+    # points: m and -m, or one point at m = 0 and m = -n/2
+    lat = sp.Lattice(k=1, n_x=1 if time_axis else n, n_t=n if time_axis else 1, L_x=1.0, L_t=1.0)
+    shape = (1, -1) if time_axis else (-1, 1)
+    got = [sp._folded_sum(lat, e.reshape(shape)) for e in np.eye(n // 2 + 1)]
+    assert got == counts
+
+
+@pytest.mark.parametrize(
+    "k, n_x, n_t", [(1, 1, 1), (2, 1, 2), (1, 2, 1), (3, 2, 2), (2, 4, 8), (1, 16, 2)]
+)
+def test_folded_sum_is_the_sum_over_the_unfolded_lattice(k, n_x, n_t):
+    # integers sum exactly in any order, so the two sums are equal
+    lat = sp.Lattice(k=k, n_x=n_x, n_t=n_t, L_x=1.0, L_t=1.0)
+    shape = sp._folded_r(lat, 1.0).shape
+    a = np.random.default_rng(k * n_x * n_t).integers(1, 1000, size=shape).astype(float)
+    assert sp._folded_sum(lat, a) == float(np.sum(sp._unfold(lat, a)))
+    assert sp._folded_sum(lat, np.ones(shape)) == lat.size
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (8, 16), (4, 4, 8), (16, 16, 16, 32)])
