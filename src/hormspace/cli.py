@@ -331,9 +331,9 @@ def _cmd_model_verify(args) -> tuple[dict, int]:
     return report, 0 if report["passed"] else 1
 
 
-# the most points of one lattice that embed-check builds: its lattices grow as
-# 2**(5(n+1)) (--weight-sum) and 2**(7(n+1)) (--sharpness) with the
-# dimension, and several float arrays of that size are alive at once
+# the most points of one lattice that embed-check sums over: its lattices grow
+# as 2**(5(n+1)) (--weight-sum) and 2**(7(n+1)) (--sharpness) with the
+# dimension, and a weight sum's time and folded arrays grow in proportion
 _EMBED_MAX_POINTS = 2**22
 
 

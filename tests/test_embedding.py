@@ -122,7 +122,7 @@ def test_weight_sum_matches_direct_loop():
 def test_weight_sum_stays_on_the_folded_quadrant(monkeypatch, alpha, beta):
     # one folded r_gamma array, summed against the mirror counts: nothing is
     # unfolded, and no array as large as the lattice is built (the lattice
-    # has 16 times the points of its folded quadrant)
+    # has 12.6 times the points of its folded quadrant)
     calls = []
 
     def spy(name, fn):
