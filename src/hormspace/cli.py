@@ -181,13 +181,12 @@ def _cmd_norm(args) -> tuple[dict, int]:
     phi = _parse_phi(args.phi)
     idx = spectra.AnisotropicIndex(args.s, args.gamma, phi)
     field_ = spectra.dft(g)
-    # hnorm's Parseval sum over this one transform, and r_gamma_max from the
-    # folded r_gamma array of its weight, which holds every value r_gamma takes
+    # hnorm's folded sum against this one transform's power spectrum, and
+    # r_gamma_max from the folded r_gamma, which holds every value it takes
     r = spectra._folded_r(lat, idx.gamma)
-    w = spectra._unfold(lat, spectra._weight(r, idx))
     r_gamma_max = float(np.max(r))
-    hnorm = spectra._parseval_norm(w * np.abs(field_.coeffs), lat)
-    del w
+    w2 = spectra._weight(r, idx) ** 2
+    hnorm = math.sqrt(spectra._folded_sum(lat, w2, np.abs(field_.coeffs) ** 2) * lat.cell_volume)
     back = spectra.idft(field_)
     # each full-lattice array is dropped once used, so that fewer of them
     # are alive under the round-trip difference and the embedding constants

@@ -19,8 +19,7 @@ import numpy as np
 from .class_m import PhiFunction, eval_phi
 from .plus_spaces import RegionMask, plus_norm
 from .spectra import AnisotropicIndex, GridFunction, Lattice, r_gamma_array
-from .spectra import _folded_r, _parseval_norm, _unfold, _weight, _weighted_coeffs
-from .spectra import _weighted_norm
+from .spectra import _folded_r, _folded_sum, _parseval_norm, _weight, _weighted_coeffs
 
 __all__ = [
     "DiagonalPair",
@@ -134,7 +133,8 @@ def interp_norm(g: GridFunction, pair: DiagonalPair, p: InterpParameter) -> floa
     """mu0-weighted norm of psi(multiplier) applied spectrally to g."""
     if g.lattice != pair.lattice:
         raise ValueError("grid and pair lattices differ")
-    return _weighted_norm(g, _interp_weight(pair.mu0, pair.mu1, p))
+    w = _interp_weight(pair.mu0, pair.mu1, p)
+    return _parseval_norm(_weighted_coeffs(w, g.samples), g.lattice)
 
 
 def verify_lemma71(
@@ -144,10 +144,10 @@ def verify_lemma71(
 
     The identity psi(r**(s1-s0)) = r**(s-s0) * phi(r) makes the two norms
     equal pointwise in frequency, so the ratio is 1 up to rounding.  A zero
-    input returns 1 by convention.  The arithmetic is that of
-    interp_norm(g, pair, p) / hnorm(g, idx), with one transform of g and
-    one r_gamma array shared by both norms.  Both weights are built on the
-    folded quadrant, which holds every value they take, and unfolded once.
+    input returns 1 by convention.  One transform of g and one r_gamma
+    array serve both norms, taken as in hnorm on the folded quadrant: the
+    denominator is hnorm(g, idx) to the last bit and the numerator is
+    interp_norm(g, pair, p) up to rounding.
     """
     lat = g.lattice
     r = _folded_r(lat, gamma)
@@ -156,11 +156,12 @@ def verify_lemma71(
     _check_admissible(mu0, mu1)
     p = build_psi(s0, s, s1, phi)
     idx = AnisotropicIndex(s, gamma, phi)
-    mag = np.abs(np.fft.fftn(g.samples, norm="ortho"))
-    denom = _parseval_norm(_unfold(lat, _weight(r, idx)) * mag, lat)
+    power = np.abs(np.fft.fftn(g.samples, norm="ortho")) ** 2
+    denom = math.sqrt(_folded_sum(lat, _weight(r, idx) ** 2, power) * lat.cell_volume)
     if denom == 0.0:
         return 1.0
-    return _parseval_norm(_unfold(lat, _interp_weight(mu0, mu1, p)) * mag, lat) / denom
+    w = _interp_weight(mu0, mu1, p)
+    return math.sqrt(_folded_sum(lat, w**2, power) * lat.cell_volume) / denom
 
 
 def interp_subspace_norm(

@@ -19,7 +19,8 @@ Conventions used throughout the package:
   n // 2 + 1 FFT-order entries of every axis (m = 0, ..., n/2 - 1 and
   -n/2), which holds every value they take, and `_unfold` expands them to
   the whole lattice with the same bits at every point.  `_folded_sum` sums
-  an even array over the whole lattice from its folded quadrant alone.
+  an even array over the whole lattice from its folded quadrant alone; norms
+  take it against the folded |coeff|**2, equal to the full sum up to rounding.
 """
 
 from __future__ import annotations
@@ -80,6 +81,8 @@ class Lattice:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("spatial dimension k must be >= 1")
+        if self.k > 63:
+            raise ValueError(f"spatial dimension k = {self.k} > 63, past numpy's 64 axes")
         if not _is_pow2(self.n_x) or not _is_pow2(self.n_t):
             raise ValueError("n_x and n_t must be powers of two")
         if not (0.0 < self.L_x < math.inf and 0.0 < self.L_t < math.inf):
@@ -173,18 +176,22 @@ def _unfold(lattice: Lattice, a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _folded_sum(lattice: Lattice, a: np.ndarray) -> float:
-    """Sum over the whole lattice of the even array whose folded quadrant
-    is a, without unfolding it: every folded entry of an axis stands for
-    m and -m, two lattice points, except m = 0 and m = -n/2, which are
-    their own mirrors (one point, and n = 1 has only m = 0)."""
+def _folded_sum(lattice: Lattice, a: np.ndarray, b: np.ndarray | None = None) -> float:
+    """Sum over the whole lattice of the even array whose folded quadrant is
+    a, times the whole-lattice array b when given.  A folded entry of an axis
+    stands for m and -m, except m = 0 and m = -n/2, their own mirrors (n = 1
+    has only m = 0): a is multiplied by those counts, or b is folded, entry m
+    collecting b[m] + b[-m] (once where m = -m), the adjoint of `_unfold`."""
     for axis, n in enumerate(lattice.shape):
-        count = np.full(n // 2 + 1, 2.0)
-        count[[0, -1]] = 1.0
-        shape = [1] * a.ndim
-        shape[axis] = count.size
-        a = a * count.reshape(shape)
-    return float(np.sum(a))
+        h, head = n // 2 + 1, (slice(None),) * axis
+        if b is None:
+            count = np.full((h,) + (1,) * (a.ndim - axis - 1), 2.0)
+            count[[0, -1]] = 1.0
+            a = a * count
+        else:
+            b, mirror = np.take(b, np.arange(h), axis=axis), b[head + (slice(n - 1, h - 1, -1),)]
+            b[head + (slice(1, h - 1),)] += mirror
+    return float(np.sum(a if b is None else a * b))
 
 
 def r_gamma_array(lattice: Lattice, gamma: float) -> np.ndarray:
@@ -225,19 +232,16 @@ def _parseval_norm(weighted: np.ndarray, lattice: Lattice) -> float:
     return float(np.sqrt(np.sum(weighted**2) * lattice.cell_volume))
 
 
-def _weighted_norm(g: GridFunction, w: np.ndarray) -> float:
-    """(sum (w |coeff|)**2 cell_volume)**(1/2), the norm behind hnorm and
-    the interpolation norms."""
-    return _parseval_norm(_weighted_coeffs(w, g.samples), g.lattice)
-
-
 def hnorm(g: GridFunction, idx: AnisotropicIndex) -> float:
     """Weighted spectral norm: (sum weight**2 |coeff|**2 cell_volume)**(1/2).
 
     With s=0 and phi==1 this is the L2 norm of the samples scaled by the
     square root of the frequency cell volume (Parseval).
     """
-    return _weighted_norm(g, weight_array(g.lattice, idx))
+    lat = g.lattice
+    w = _weight(_folded_r(lat, idx.gamma), idx)
+    power = np.abs(np.fft.fftn(g.samples, norm="ortho")) ** 2
+    return math.sqrt(_folded_sum(lat, w**2, power) * lat.cell_volume)
 
 
 def embedding_constants(

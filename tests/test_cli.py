@@ -11,7 +11,7 @@ import pytest
 
 from conftest import scattered_16x32
 from hormspace import class_m as cm
-from hormspace import cli, embedding, gridio, model_problem
+from hormspace import cli, embedding, gridio, interpolation, model_problem
 from hormspace import plus_spaces as ps
 from hormspace import spectra as sp
 
@@ -574,6 +574,30 @@ def test_model_verify_holds_one_forcing_at_a_time(capsys, heat_file, monkeypatch
     assert code == 0
     assert len(alive_at_call) >= 12
     assert max(alive_at_call) <= 1, alive_at_call
+
+
+def test_norms_build_no_whole_lattice_weight(monkeypatch, capsys, grid_file):
+    # hnorm, the norm command and verify_lemma71 take their norms on the
+    # folded quadrant, so none of them unfolds a weight to the whole lattice
+    calls = []
+
+    def spy(name, fn):
+        def recorded(*args):
+            calls.append(name)
+            return fn(*args)
+        return recorded
+
+    # a module that binds either name at import is spied on there as well
+    for module in (sp, interpolation):
+        for name in ("_unfold", "weight_array"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
+    g, _region = gridio.load_grid(grid_file)
+    sp.hnorm(g, sp.AnisotropicIndex(1.0, 0.5))
+    interpolation.verify_lemma71(g, 0.0, 1.0, 2.0, 0.5, cm.log_power([0.7]))
+    code, _out = run_cli(capsys, ["norm", grid_file, "--s", "1", "--gamma", "0.5"])
+    assert code == 0
+    assert calls == []
 
 
 def test_norm_report_equals_the_public_functions(capsys, grid_file):

@@ -1,4 +1,6 @@
+import ast
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -41,6 +43,15 @@ def test_lattice_validation():
         sp.Lattice(k=1, n_x=12, n_t=8, L_x=1.0, L_t=1.0)
     with pytest.raises(ValueError):
         sp.Lattice(k=1, n_x=8, n_t=8, L_x=0.0, L_t=1.0)
+
+
+def test_lattice_refuses_more_axes_than_numpy_holds():
+    # a 32-byte grid header could once ask for a shape tuple of 2**32 - 1
+    # entries; the refusal comes before any shape or size is built
+    with pytest.raises(ValueError, match="k = 4294967295"):
+        sp.Lattice(k=2**32 - 1, n_x=1, n_t=1, L_x=1.0, L_t=1.0)
+    lat = sp.Lattice(k=63, n_x=1, n_t=1, L_x=1.0, L_t=1.0)
+    assert len(lat.shape) == 64 and lat.size == 1
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -259,6 +270,11 @@ def test_folded_weights_have_the_full_lattice_bits(
     idx = sp.AnisotropicIndex(s, gamma, phi)
     w = r**s * cm.eval_phi(phi, r)
     assert _same_bits(sp.weight_array(lat, idx), w)
+    # the norm on the folded quadrant against the folded power spectrum
+    g = sp.random_grid(lat, 3)
+    power = np.abs(np.fft.fftn(g.samples, norm="ortho")) ** 2
+    want = math.sqrt(float(np.sum(w**2 * power)) * lat.cell_volume)
+    assert sp.hnorm(g, idx) == pytest.approx(want, rel=1e-14, abs=0.0)
 
     idx0 = sp.AnisotropicIndex(s - ds[0], gamma, phi)
     idx1 = sp.AnisotropicIndex(s + ds[1], gamma, cm.constant_one())
@@ -298,9 +314,27 @@ def test_folded_sum_is_the_sum_over_the_unfolded_lattice(k, n_x, n_t):
     # integers sum exactly in any order, so the two sums are equal
     lat = sp.Lattice(k=k, n_x=n_x, n_t=n_t, L_x=1.0, L_t=1.0)
     shape = sp._folded_r(lat, 1.0).shape
-    a = np.random.default_rng(k * n_x * n_t).integers(1, 1000, size=shape).astype(float)
+    rng = np.random.default_rng(k * n_x * n_t)
+    a = rng.integers(1, 1000, size=shape).astype(float)
     assert sp._folded_sum(lat, a) == float(np.sum(sp._unfold(lat, a)))
     assert sp._folded_sum(lat, np.ones(shape)) == lat.size
+    # against a whole-lattice b, which is folded: b[m] + b[-m], once at m = -m
+    b = rng.integers(-1000, 1000, size=lat.shape).astype(float)
+    assert sp._folded_sum(lat, a, b) == float(np.sum(sp._unfold(lat, a) * b))
+    assert sp._folded_sum(lat, np.ones(shape), b) == float(np.sum(b))
+
+
+def test_the_folded_layout_is_named_only_in_spectra():
+    # the folded quadrant is spectra's layout: no other module unfolds
+    src = pathlib.Path(sp.__file__).parent
+    users = {
+        path.name
+        for path in src.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if "_unfold" in {getattr(node, "id", None), getattr(node, "attr", None),
+                         getattr(node, "name", None)}
+    }
+    assert users == {"spectra.py"}
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (8, 16), (4, 4, 8), (16, 16, 16, 32)])
