@@ -183,14 +183,15 @@ def _folded_sum(lattice: Lattice, a: np.ndarray, b: np.ndarray | None = None) ->
     has only m = 0): a is multiplied by those counts, or b is folded, entry m
     collecting b[m] + b[-m] (once where m = -m), the adjoint of `_unfold`."""
     for axis, n in enumerate(lattice.shape):
-        h, head = n // 2 + 1, (slice(None),) * axis
+        i = np.arange(n // 2 + 1)
         if b is None:
-            count = np.full((h,) + (1,) * (a.ndim - axis - 1), 2.0)
+            count = np.full((i.size,) + (1,) * (a.ndim - axis - 1), 2.0)
             count[[0, -1]] = 1.0
             a = a * count
         else:
-            b, mirror = np.take(b, np.arange(h), axis=axis), b[head + (slice(n - 1, h - 1, -1),)]
-            b[head + (slice(1, h - 1),)] += mirror
+            # copies by np.take: adding views of b measured a higher peak RSS
+            b, mirror = np.take(b, i, axis=axis), np.take(b, n - i[1:-1], axis=axis)
+            b[(slice(None),) * axis + (slice(1, -1),)] += mirror
     return float(np.sum(a if b is None else a * b))
 
 
