@@ -88,7 +88,7 @@ class PeriodicParabolicOperator:
         verdict = petrovskii_check(self.symbol, 512)
         if not verdict.passed:
             raise ValueError(
-                f"symbol fails the parabolicity check (min |A| = {verdict.min_abs:.3e})"
+                f"symbol fails the parabolicity check (root margin = {verdict.root_margin:.3e})"
             )
 
     @property

@@ -3,12 +3,11 @@
 Symbols are constant-coefficient principal parts stored as maps from
 (multi-index alpha, time order beta) to complex coefficients, with the
 homogeneity |alpha| + 2 b beta fixed (2m for the interior symbol, m_j for
-a boundary symbol).  Both pointwise conditions are open conditions on a
-compact normalized set, so they are certified by quasi-random sampling of
-that set plus a local polish of the worst candidates, with an explicit
-margin threshold.  The Petrovskii polish is L-BFGS-B on |A|**2 with the
-analytic gradient from one vectorized evaluator over the symbol's
-coefficient table, which also backs symbol_eval.
+a boundary symbol).  Petrovskii parabolicity is decided by the root
+margin: every root p of A(omega, .) must have Re p < 0 on the unit sphere
+|omega| = 1, checked exactly at k = 1 and by a scan plus a gradient polish
+at k >= 2.  The covering condition is a rank test at sampled boundary
+frames.  One evaluator over a symbol's coefficient table serves both.
 """
 
 from __future__ import annotations
@@ -46,6 +45,8 @@ _NEAR_REAL_REL = 1e-9
 _CLUSTER_REL = 1e-7
 _DELTA_MIN = 1e-9
 _COVER_TOL = 1e-8
+# the most sphere points petrovskii_check scans; its arrays grow with the count
+_MAX_SAMPLES = 2**20
 
 
 def _norm_coeffs(coeffs, n: int, b: int, degree: int, what: str):
@@ -208,102 +209,100 @@ def _kronecker_sphere(n_samples: int, dim: int) -> np.ndarray:
 @dataclass(frozen=True)
 class PetrovskiiVerdict:
     passed: bool
-    min_abs: float
-    witness_xi: np.ndarray
-    witness_p: complex
+    root_margin: float
+    witness_omega: np.ndarray
+    witness_root: complex
     n_evaluated: int
 
     def to_json_dict(self) -> dict:
         return {
             "passed": self.passed,
-            "min_abs_symbol": self.min_abs,
-            "witness_xi": [float(v) for v in self.witness_xi],
-            "witness_p": {"re": self.witness_p.real, "im": self.witness_p.imag},
+            "root_margin": self.root_margin,
+            "witness_omega": [float(v) for v in self.witness_omega],
+            "witness_root": {"re": self.witness_root.real, "im": self.witness_root.imag},
             "n_evaluated": self.n_evaluated,
         }
 
 
+def _time_coeffs(slices, omega: np.ndarray) -> np.ndarray:
+    """a_beta(omega) for A(omega, p) = sum_beta a_beta(omega) p**beta, as (N, kappa + 1)."""
+    return np.stack([_evaluate(s, omega, np.ones(len(omega))) for s in slices], axis=1)
+
+
+def _roots(a: np.ndarray) -> np.ndarray:
+    """Roots in p of each row of ascending coefficients a (N, kappa + 1)."""
+    kappa = a.shape[1] - 1
+    if kappa == 1:
+        return -a[:, :1] / a[:, 1:]
+    comp = np.zeros((len(a), kappa, kappa), dtype=complex)
+    comp[:, 1:, :-1] = np.eye(kappa - 1)
+    comp[:, :, -1] = -a[:, :kappa] / a[:, kappa:]
+    return np.linalg.eigvals(comp)
+
+
 def petrovskii_check(A: PrincipalSymbol, n_samples: int) -> PetrovskiiVerdict:
-    """Certify A != 0 on the set {|xi|**2 + |p|**2 = 1, Re p >= 0}.
+    """The root margin delta = -max Re p over the roots p of A(omega, .), |omega| = 1.
 
-    Samples the hemisphere quasi-randomly (plus the axis points xi = 0,
-    p = 1 and p = 0, |xi| = 1), then polishes the four worst samples by
-    L-BFGS-B on f(v) = |A(v / |v|)|**2 with its analytic gradient and the
-    bound Re p >= 0.  The reported min_abs is |A| at the reported witness;
-    for the heat symbol it matches the closed form sqrt(3)/2 to about
-    1e-16, and a genuine zero is located to |A| ~ 1e-17.  Passes iff
-    min_abs > 1e-9 * (sum of |term| at the witness, the scale of A's rounding
-    error there), so no constant factor or coefficient spread changes it.
+    By quasi-homogeneity every root of A(xi, .) then has Re p <= -delta
+    |xi|**(2b).  At k = 1 both points omega = +-1 are evaluated exactly.  At
+    k >= 2 the axis points +-e_j and n_samples Kronecker points are scanned,
+    and the four best starts with a simple top root are polished by L-BFGS-B
+    on -Re p(v / |v|) / (largest scanned |root|), with the gradient
+    dp/domega = -dA/domega / dA/dp.  The witness's roots are clustered, so a
+    multiple root reads to rounding.  Passes iff delta > 1e-9 * (largest
+    |root| at the witness), which no constant factor of A changes.
     """
-    from scipy.optimize import minimize
-
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
+    if not 1 <= n_samples <= _MAX_SAMPLES:
+        raise ValueError(f"n_samples must be in [1, {_MAX_SAMPLES}], got {n_samples}")
     A.validate_structure()
     n = A.n
-    dim = n + 2
+    E, beta, c = table = _coeff_table(A)
+    slices = [(E[beta == j], beta[beta == j], c[beta == j]) for j in range(A.kappa + 1)]
 
-    pts = _kronecker_sphere(n_samples, dim)
-    axis_pts = []
-    zero_xi = np.zeros(dim)
-    zero_xi[n] = 1.0  # xi = 0, p = 1
-    axis_pts.append(zero_xi)
-    for j in range(n):
-        for sign in (1.0, -1.0):
-            v = np.zeros(dim)
-            v[j] = sign  # p = 0, |xi| = 1
-            axis_pts.append(v)
-    pts = np.vstack([np.array(axis_pts), pts])
-    pts[:, n] = np.abs(pts[:, n])  # enforce Re p >= 0
+    axes = np.vstack([np.eye(n), -np.eye(n)])  # at k = 1, the whole sphere
+    pts = np.vstack([axes, _kronecker_sphere(n_samples, n)]) if n > 1 else axes
+    roots = _roots(_time_coeffs(slices, pts))
+    top = roots.real.max(axis=1)
+    best_val, best_pt = float(top.max()), pts[np.argmax(top)]
 
-    # Work with A / scale, where scale is the power of two that puts the
-    # largest |coeff| in [1, 2): the division is exact, and |A|**2 cannot
-    # overflow for any finite symbol.
-    E, beta, c = _coeff_table(A)
-    scale = math.ldexp(1.0, math.frexp(float(np.max(np.abs(c))))[1] - 1)
-    table = (E, beta, c / scale)
+    if n > 1:
+        from scipy.optimize import minimize
 
-    def abs_at(w: np.ndarray) -> np.ndarray:
-        w = np.atleast_2d(w)
-        return np.abs(_evaluate(table, w[:, :n], w[:, n] + 1j * w[:, n + 1]))
+        size = float(np.max(np.abs(roots))) or 1.0
 
-    vals = abs_at(pts)
-    order = np.argsort(vals)
-    best_val = float(vals[order[0]])
-    best_pt = pts[order[0]]
+        def top_root(w: np.ndarray) -> complex:
+            r = _roots(_time_coeffs(slices, w[None]))[0]
+            return complex(r[np.argmax(r.real)])
 
-    def objective(v: np.ndarray) -> tuple[float, np.ndarray]:
-        nv = float(np.linalg.norm(v))
-        w = v / nv
-        p = np.array([complex(w[n], w[n + 1])])
-        val, dval = _evaluate(table, w[None, :n], p, grad=True)
-        g = 2.0 * (np.conj(val) * dval[0]).real
-        # chain rule through w = v / |v|: project onto the tangent space
-        return float(abs(val[0]) ** 2), (g - np.dot(g, w) * w) / nv
+        def objective(v: np.ndarray) -> tuple[float, np.ndarray]:
+            nv = float(np.linalg.norm(v))
+            w = v / nv
+            p = top_root(w)
+            _, dA = _evaluate(table, w[None], np.array([p]), grad=True)
+            g = (dA[0, :n] / dA[0, n]).real / size  # -d(Re p)/dw / size
+            # chain rule through w = v / |v|: project onto the tangent space
+            return -p.real / size, (g - np.dot(g, w) * w) / nv
 
-    bounds = [(None, None)] * dim
-    bounds[n] = (0.0, None)  # Re p >= 0
-    for start in order[:4]:
-        res = minimize(
-            objective,
-            pts[start],
-            jac=True,
-            method="L-BFGS-B",
-            bounds=bounds,
-            options={"ftol": 0.0, "gtol": 1e-15, "maxiter": 200},
-        )
-        w = res.x / np.linalg.norm(res.x)
-        val = float(abs_at(w)[0])
-        if val < best_val:
-            best_val = val
-            best_pt = w
+        for start in np.argsort(-top)[:4]:
+            r = _cluster_roots(roots[start])
+            if np.count_nonzero(r == r[np.argmax(r.real)]) > 1:
+                continue  # a multiple top root has no derivative; the scan value stands
+            opts = {"ftol": 0.0, "gtol": 1e-15, "maxiter": 200}
+            res = minimize(objective, pts[start], jac=True, method="L-BFGS-B", options=opts)
+            w = res.x / np.linalg.norm(res.x)
+            val = top_root(w).real
+            if val > best_val:
+                best_val, best_pt = val, w
 
-    size = _evaluate((E, beta, abs(table[2])), abs(best_pt[None, :n]), np.hypot(*best_pt[n:, None]))
+    a = _time_coeffs(slices, best_pt[None])[0]
+    r = _cluster_roots(np.roots(a[::-1]))
+    root = complex(r[np.argmax(r.real)])
+    margin = 0.0 - root.real  # not -root.real, which reads -0.0 at a zero root
     return PetrovskiiVerdict(
-        passed=bool(best_val > _DELTA_MIN * size[0]),
-        min_abs=best_val * scale,
-        witness_xi=best_pt[:n].copy(),
-        witness_p=complex(best_pt[n], best_pt[n + 1]),
+        passed=bool(margin > _DELTA_MIN * float(np.max(np.abs(r)))),
+        root_margin=margin,
+        witness_omega=best_pt.copy(),
+        witness_root=root,
         n_evaluated=len(pts),
     )
 

@@ -85,10 +85,10 @@ def test_criterion_3_parabolicity_suite():
     heat = heat_symbol()
 
     v_heat = pb.petrovskii_check(heat, 10000)
-    ok = v_heat.passed and v_heat.min_abs > 0.1
+    ok = v_heat.passed and v_heat.root_margin > 0.1
 
     v_back = pb.petrovskii_check(backward_heat_symbol(), 10000)
-    ok &= (not v_back.passed) and v_back.min_abs < 1e-6
+    ok &= (not v_back.passed) and v_back.root_margin < 0
 
     for frame in pb.random_frames(100, 2, seed=1):
         plus, minus = pb.root_split(pb.zeta_polynomial(heat, frame))
@@ -115,7 +115,7 @@ def test_criterion_3_parabolicity_suite():
     assert _report(
         "criterion 3: parabolicity suite",
         ok,
-        f"heat min {v_heat.min_abs:.3f}, backward witness {v_back.min_abs:.1e}, {elapsed:.2f}s",
+        f"heat margin {v_heat.root_margin:.3f}, backward margin {v_back.root_margin:.3f}, {elapsed:.2f}s",
     )
 
 

@@ -67,7 +67,7 @@ def test_check_parabolic_pass(capsys, heat_file):
     assert code == 0
     report = json.loads(out)
     assert report["passed"] is True
-    assert report["petrovskii"]["min_abs_symbol"] > 0.1
+    assert report["petrovskii"]["root_margin"] > 0.1
     assert report["covering"]["passed"] is True
     assert report["sigma0"] == 2
 
@@ -87,6 +87,22 @@ def test_check_parabolic_fail_exit_code(capsys, tmp_path):
     assert json.loads(out)["passed"] is False
 
 
+def test_check_parabolic_refuses_oversized_sample_count(capsys, heat_file, monkeypatch):
+    # refused from the count alone: no sphere point may be built
+    from hormspace import parabolicity
+
+    def never(*args, **kwargs):
+        raise AssertionError("sphere points were built before the count check")
+
+    monkeypatch.setattr(parabolicity, "_kronecker_sphere", never)
+    code = cli.main(["check-parabolic", heat_file, "--samples", "1099511627776"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert str(parabolicity._MAX_SAMPLES) in captured.err
+
+
 @pytest.mark.parametrize(
     "value, expected_code", [(math.inf, 2), (math.nan, 2), (1e300, 0)]
 )
@@ -104,7 +120,7 @@ def test_check_parabolic_extreme_coefficient(capsys, tmp_path, value, expected_c
     else:
         report = json.loads(out)
         assert report["passed"] is True
-        assert math.isfinite(report["petrovskii"]["min_abs_symbol"])
+        assert math.isfinite(report["petrovskii"]["root_margin"])
 
 
 def test_malformed_json_exit_2(capsys, tmp_path):

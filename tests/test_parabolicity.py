@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 
 from conftest import (
@@ -67,18 +69,19 @@ def test_symbol_key_validation():
 def test_petrovskii_heat_passes():
     v = pb.petrovskii_check(heat_symbol(), 10000)
     assert v.passed
-    # minimum of |p + |xi|**2| on the normalized hemisphere is sqrt(3)/2
-    assert v.min_abs == pytest.approx(math.sqrt(3) / 2, rel=1e-6)
-    assert v.min_abs > 0.1
+    # the root of p + |omega|**2 is -1 everywhere on the unit sphere
+    assert v.root_margin == pytest.approx(1.0, rel=1e-15)
+    assert v.witness_root == pytest.approx(-1.0, rel=1e-15)
 
 
 def test_petrovskii_backward_heat_fails_with_sharp_witness():
     v = pb.petrovskii_check(backward_heat_symbol(), 10000)
     assert not v.passed
-    assert v.min_abs < 1e-6
-    # the zero sits at real p = |xi|**2 (golden-ratio point of the sphere)
-    assert v.witness_p.real == pytest.approx(float(np.sum(v.witness_xi**2)), abs=1e-6)
-    assert abs(v.witness_p.imag) < 1e-6
+    assert v.root_margin == pytest.approx(-1.0, rel=1e-15)
+    # the root is real, p = |omega|**2 = 1
+    assert v.witness_root.real == pytest.approx(float(np.sum(v.witness_omega**2)), rel=1e-15)
+    assert v.witness_root.real == pytest.approx(1.0, rel=1e-15)
+    assert v.witness_root.imag == 0.0
 
 
 def test_petrovskii_structural_error():
@@ -89,31 +92,79 @@ def test_petrovskii_structural_error():
         pb.petrovskii_check(A, 100)
 
 
+@pytest.mark.parametrize("n_samples", [0, 2**20 + 1])
+def test_petrovskii_refuses_sample_counts_it_cannot_hold(monkeypatch, n_samples):
+    def no_scan(*args):
+        raise AssertionError("scan built before the count was refused")
+
+    monkeypatch.setattr(pb, "_kronecker_sphere", no_scan)
+    with pytest.raises(ValueError, match="n_samples"):
+        pb.petrovskii_check(heat_symbol(), n_samples)
+
+
 def test_petrovskii_squared_heat():
     v = pb.petrovskii_check(squared_heat_symbol(), 10000)
     assert v.passed
-    assert v.min_abs == pytest.approx(0.75, rel=1e-6)  # (sqrt(3)/2)**2
+    # the double root -|omega|**2 is averaged back to -1 at the witness
+    assert v.root_margin == pytest.approx(1.0, rel=1e-15)
 
 
 @pytest.mark.parametrize(
-    "A, expected",
-    [
-        (heat_symbol(2), math.sqrt(3) / 2),
-        (heat_symbol(3), math.sqrt(3) / 2),
-        (squared_heat_symbol(2), 0.75),
-    ],
-    ids=["heat2", "heat3", "squared_heat"],
+    "A",
+    [heat_symbol(1), heat_symbol(2), heat_symbol(3), squared_heat_symbol(2), squared_heat_symbol(3)],
+    ids=["heat1", "heat2", "heat3", "squared_heat", "squared_heat3"],
 )
-def test_petrovskii_closed_form_minimum(A, expected):
+def test_petrovskii_closed_form_minimum(A):
+    # the margin delta is the minimum of -Re p over the unit sphere
     v = pb.petrovskii_check(A, 10000)
     assert v.passed
-    assert v.min_abs == pytest.approx(expected, rel=1e-12)
+    assert v.root_margin == pytest.approx(1.0, rel=1e-15)
+    assert float(np.linalg.norm(v.witness_omega)) == pytest.approx(1.0, rel=1e-15)
 
 
 def test_petrovskii_backward_heat_zero_located():
     v = pb.petrovskii_check(backward_heat_symbol(), 10000)
     assert not v.passed
-    assert v.min_abs < 1e-12
+    assert v.root_margin == pytest.approx(-1.0, rel=1e-15)
+    # the witness root is a root of A(omega, .) to rounding
+    assert abs(pb.symbol_eval(backward_heat_symbol(), v.witness_omega, v.witness_root)) < 1e-15
+
+
+def test_petrovskii_one_dimension_evaluates_both_poles_and_runs_no_search(monkeypatch):
+    import scipy.optimize
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("k = 1 ran a minimiser")
+
+    monkeypatch.setattr(scipy.optimize, "minimize", no_search)
+    for A, margin in ((heat_symbol(1), 1.0), (backward_heat_symbol(1), -1.0), (squared_heat_symbol(1), 1.0)):
+        v = pb.petrovskii_check(A, 10000)
+        assert v.n_evaluated == 2
+        assert v.root_margin == pytest.approx(margin, rel=1e-15)
+        assert abs(v.witness_omega[0]) == 1.0
+
+
+def test_petrovskii_degenerate_symbol_fails_at_zero_margin():
+    # p + xi_1**2 has the root p = 0 at omega = (0, +-1): parabolic nowhere
+    A = pb.PrincipalSymbol(n=2, b=1, m=1, coeffs={((2, 0), 0): 1.0, ((0, 0), 1): 1.0})
+    v = pb.petrovskii_check(A, 10000)
+    assert not v.passed
+    assert v.root_margin == 0.0
+    assert v.witness_root == 0.0
+    assert abs(v.witness_omega[1]) == 1.0
+
+
+@pytest.mark.parametrize("c", [1e5, 1e6, 1e9, 2e9, 1e20, 1e300])
+def test_petrovskii_wide_coefficient_spread(c):
+    # c xi_1**2 + xi_2**2 + p: the root -(c omega_1**2 + omega_2**2) is
+    # largest, -1, at omega = (0, +-1), however large c is
+    A = pb.PrincipalSymbol(
+        n=2, b=1, m=1, coeffs={((2, 0), 0): c, ((0, 2), 0): 1.0, ((0, 0), 1): 1.0}
+    )
+    v = pb.petrovskii_check(A, 10000)
+    assert v.passed
+    assert v.root_margin == 1.0
+    assert v.witness_omega[0] == 0.0 and abs(v.witness_omega[1]) == 1.0
 
 
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, complex(0, math.inf)])
@@ -125,37 +176,88 @@ def test_non_finite_coefficient_refused(value):
 
 
 def test_petrovskii_huge_coefficients_give_verdict():
-    # |A|**2 would overflow at these magnitudes; the check still decides
+    # the roots reach -1e308 here; the check still decides, with the margin
+    # set by the axis omega = (0, +-1)
     for big in (1e300, 1e308):
         A = pb.PrincipalSymbol(
             n=2, b=1, m=1, coeffs={((2, 0), 0): big, ((0, 2), 0): 1.0, ((0, 0), 1): 1.0}
         )
         v = pb.petrovskii_check(A, 500)
         assert v.passed
-        assert math.isfinite(v.min_abs) and v.min_abs > 0
+        assert v.root_margin == 1.0
     v = pb.petrovskii_check(
         pb.PrincipalSymbol(
             n=2, b=1, m=1, coeffs={((2, 0), 0): 1e300, ((0, 2), 0): 1e300, ((0, 0), 1): 1e300}
         ),
         10000,
     )
-    assert v.min_abs == pytest.approx(1e300 * math.sqrt(3) / 2, rel=1e-12)
+    assert v.root_margin == pytest.approx(1.0, rel=1e-15)
+
+
+def _scaled(base, factor):
+    return pb.PrincipalSymbol(
+        n=base.n, b=base.b, m=base.m, coeffs={k: factor * c for k, c in base.coeffs.items()}
+    )
 
 
 @pytest.mark.parametrize("factor", [1e300, 1e-300])
 def test_petrovskii_verdict_is_scale_relative(factor):
-    # the verdict compares min_abs with 1e-9 times the terms' magnitudes at
-    # the witness, so a constant factor changes min_abs but not the verdict:
-    # backward heat times 1e300 once passed on an absolute min_abs of
-    # 3.1e282, and heat times 1e-300 would fail on an absolute rule
-    for base, parabolic in ((heat_symbol(), True), (backward_heat_symbol(), False)):
-        scaled = pb.PrincipalSymbol(
-            n=base.n, b=base.b, m=base.m, coeffs={k: factor * c for k, c in base.coeffs.items()}
-        )
-        v = pb.petrovskii_check(scaled, 2000)
-        assert v.passed == parabolic
-        if parabolic:
-            assert v.min_abs == pytest.approx(factor * math.sqrt(3) / 2, rel=1e-12)
+    # the verdict compares the margin with 1e-9 times the largest root at
+    # the witness, and the roots do not move under a constant factor:
+    # backward heat times 1e300 once passed an absolute rule, and heat
+    # times 1e-300 would fail one
+    for base, margin in (
+        (heat_symbol(), 1.0),
+        (backward_heat_symbol(), -1.0),
+        (squared_heat_symbol(), 1.0),
+    ):
+        v = pb.petrovskii_check(_scaled(base, factor), 2000)
+        assert v.passed == (margin > 0)
+        assert v.root_margin == pytest.approx(margin, rel=1e-15)
+
+
+_unit = st.floats(-1.0, 1.0, allow_nan=False)
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    n=st.integers(2, 3),
+    entries=st.lists(_unit, min_size=18, max_size=18),
+    shift=st.floats(0.1, 2.0),
+    modulus=st.floats(1e-3, 1e3),
+    angle=st.floats(-math.pi, math.pi),
+    perm=st.permutations(range(3)),
+)
+def test_petrovskii_margin_is_invariant_under_factor_and_axis_permutation(
+    n, entries, shift, modulus, angle, perm
+):
+    # A = p + omega^T (S + i T) omega with S = M M^T + shift I: the root
+    # margin is the smallest eigenvalue of S, and neither a complex factor
+    # of A nor a relabelling of the axes moves it
+    M = np.reshape(entries[:9], (3, 3))[:n, :n]
+    T = np.reshape(entries[9:], (3, 3))[:n, :n]
+    S = M @ M.T + shift * np.eye(n)
+    Q = S + 1j * (T + T.T)
+    perm = [i for i in perm if i < n]
+
+    def symbol(Q, factor):
+        coeffs = {((0,) * n, 1): factor}
+        for i in range(n):
+            for j in range(n):
+                alpha = [0] * n
+                alpha[i] += 1
+                alpha[j] += 1
+                key = (tuple(alpha), 0)
+                coeffs[key] = coeffs.get(key, 0.0) + factor * Q[i, j]
+        return pb.PrincipalSymbol(n=n, b=1, m=1, coeffs=coeffs)
+
+    delta = pb.petrovskii_check(symbol(Q, 1.0), 2000).root_margin
+    assert delta == pytest.approx(float(np.linalg.eigvalsh(S)[0]), rel=1e-12)
+    factor = modulus * complex(math.cos(angle), math.sin(angle))
+    scaled = pb.petrovskii_check(symbol(Q, factor), 2000).root_margin
+    permuted = pb.petrovskii_check(symbol(Q[np.ix_(perm, perm)], 1.0), 2000).root_margin
+    assert scaled == pytest.approx(delta, rel=1e-12)
+    assert permuted == pytest.approx(delta, rel=1e-12)
 
 
 def _perturbed_symbol(base, rng, eps):
@@ -184,7 +286,8 @@ def _root_margin(A, omegas):
 def test_petrovskii_agrees_with_root_margin_oracle():
     # Quasi-homogeneity reduces A != 0 on the hemisphere to: every root p of
     # A(omega, .) has Re p < 0 for omega on the unit sphere (xi = 0 is the
-    # structure check).  The verdict must match that margin's sign.
+    # structure check).  The verdict must match that margin's sign, and the
+    # reported margin can be no larger than the oracle's on its own samples.
     rng = np.random.default_rng(20151116)
     verdicts = set()
     for base in (heat_symbol, squared_heat_symbol):
@@ -199,15 +302,14 @@ def test_petrovskii_agrees_with_root_margin_oracle():
                 margin = _root_margin(A, omegas)
                 v = pb.petrovskii_check(A, 2000)
                 if abs(margin) > 1e-3:
-                    assert v.passed == (margin < 0), (base.__name__, n, margin, v.min_abs)
+                    assert v.passed == (margin < 0), (base.__name__, n, margin, v.root_margin)
                     verdicts.add(v.passed)
-                assert float(np.sum(v.witness_xi**2)) + abs(v.witness_p) ** 2 == pytest.approx(
-                    1.0, abs=1e-12
-                )
-                assert v.witness_p.real >= 0.0
-                at_witness = abs(pb.symbol_eval(A, v.witness_xi, v.witness_p))
+                assert v.root_margin <= -margin + 1e-12
+                assert float(np.linalg.norm(v.witness_omega)) == pytest.approx(1.0, abs=1e-12)
+                assert v.root_margin == -v.witness_root.real
+                at_witness = abs(pb.symbol_eval(A, v.witness_omega, v.witness_root))
                 rounding = 1e-15 * sum(abs(c) for c in A.coeffs.values())
-                assert abs(at_witness - v.min_abs) <= rounding
+                assert at_witness <= rounding
     assert verdicts == {True, False}
 
 
