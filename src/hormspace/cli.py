@@ -181,12 +181,13 @@ def _cmd_norm(args) -> tuple[dict, int]:
     phi = _parse_phi(args.phi)
     idx = spectra.AnisotropicIndex(args.s, args.gamma, phi)
     field_ = spectra.dft(g)
-    # hnorm's folded sum against this one transform's power spectrum, and
+    # hnorm's folded sum against this one transform's power spectrum (not
+    # kept: held to the end, it raised the benchmark's peak RSS by 14%), and
     # r_gamma_max from the folded r_gamma, which holds every value it takes
     r = spectra._folded_r(lat, idx.gamma)
     r_gamma_max = float(np.max(r))
     w2 = spectra._weight(r, idx) ** 2
-    hnorm = math.sqrt(spectra._folded_sum(lat, w2, np.abs(field_.coeffs) ** 2) * lat.cell_volume)
+    hnorm = spectra._parseval_norm(lat, w2, spectra._fold(lat, np.abs(field_.coeffs) ** 2))
     back = spectra.idft(field_)
     # each full-lattice array is dropped once used, so that fewer of them
     # are alive under the round-trip difference and the embedding constants

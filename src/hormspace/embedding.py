@@ -156,22 +156,17 @@ def _angular_moment(alpha: tuple[int, ...]) -> float:
 
 
 def _lhs_truncated(
-    s: float,
-    gamma: float,
-    phi: PhiFunction,
-    alpha: tuple[int, ...],
-    beta: int,
-    R: float,
-    n_nodes: int = 96,
+    s: float, gamma: float, phi: PhiFunction, alpha: tuple[int, ...], beta: int, R: float
 ) -> float:
     """Multiple integral of the weight-sum integrand over {r_gamma <= R}.
 
     Iterated Gauss quadrature: angular moment in xi times a 2-D integral in
     the spatial radius and the substituted time frequency eta = v**(2b),
-    which turns |eta|**(1/b) into the smooth v**2.  One Gauss-Legendre rule
-    is mapped to every inner interval [0, rho_top(v)] at once, so the inner
-    integrals take one array pass (one ``eval_phi`` call and a row-wise
-    sum); the outer sum over v stays a sequential float sum in node order.
+    which turns |eta|**(1/b) into the smooth v**2.  One 96-node
+    Gauss-Legendre rule is mapped to every inner interval [0, rho_top(v)]
+    at once, so the inner integrals take one array pass (one ``eval_phi``
+    call and a row-wise sum); the outer 96-node sum over v stays a
+    sequential float sum in node order.
     """
     n = len(alpha)
     b = 1.0 / (2.0 * gamma)
@@ -183,13 +178,13 @@ def _lhs_truncated(
         return 0.0
     ang = _angular_moment(alpha)
     v_top = (R**2 - 1.0) ** 0.5
-    v_nodes, v_w = _gauss(0.0, v_top, n_nodes)
+    v_nodes, v_w = _gauss(0.0, v_top, 96)
     # square each node as a scalar: numpy's scalar ** calls libm pow, which
     # can differ in the last bit from an array square, and rho_top must equal
     # a one-row-at-a-time evaluation bit for bit
     v2 = np.array([v**2 for v in v_nodes])
     rho_top = np.sqrt(np.maximum(R**2 - 1.0 - v2, 0.0))
-    rho, wr = _gauss(0.0, rho_top[:, None], n_nodes)
+    rho, wr = _gauss(0.0, rho_top[:, None], 96)
     rr = np.sqrt(1.0 + rho**2 + v2[:, None])
     dens = rho ** (2 * sum(alpha) + n - 1) / (rr ** (2.0 * s) * eval_phi(phi, rr) ** 2)
     inner = np.sum(dens * wr, axis=1)

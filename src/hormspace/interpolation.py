@@ -19,7 +19,7 @@ import numpy as np
 from .class_m import PhiFunction, eval_phi
 from .plus_spaces import RegionMask, plus_norm
 from .spectra import AnisotropicIndex, GridFunction, Lattice, r_gamma_array
-from .spectra import _folded_r, _folded_sum, _parseval_norm, _weight, _weighted_coeffs
+from .spectra import _fold, _folded_r, _parseval_norm, _weight
 
 __all__ = [
     "DiagonalPair",
@@ -133,8 +133,8 @@ def interp_norm(g: GridFunction, pair: DiagonalPair, p: InterpParameter) -> floa
     """mu0-weighted norm of psi(multiplier) applied spectrally to g."""
     if g.lattice != pair.lattice:
         raise ValueError("grid and pair lattices differ")
-    w = _interp_weight(pair.mu0, pair.mu1, p)
-    return _parseval_norm(_weighted_coeffs(w, g.samples), g.lattice)
+    power = np.abs(np.fft.fftn(g.samples, norm="ortho")) ** 2
+    return _parseval_norm(g.lattice, _interp_weight(pair.mu0, pair.mu1, p) ** 2, power)
 
 
 def verify_lemma71(
@@ -144,10 +144,10 @@ def verify_lemma71(
 
     The identity psi(r**(s1-s0)) = r**(s-s0) * phi(r) makes the two norms
     equal pointwise in frequency, so the ratio is 1 up to rounding.  A zero
-    input returns 1 by convention.  One transform of g and one r_gamma
-    array serve both norms, taken as in hnorm on the folded quadrant: the
-    denominator is hnorm(g, idx) to the last bit and the numerator is
-    interp_norm(g, pair, p) up to rounding.
+    input returns 1 by convention.  One transform of g, folded once, and one
+    r_gamma array serve both norms, taken as in hnorm on the folded
+    quadrant: the denominator is hnorm(g, idx) to the last bit and the
+    numerator is interp_norm(g, pair, p) up to rounding.
     """
     lat = g.lattice
     r = _folded_r(lat, gamma)
@@ -156,12 +156,11 @@ def verify_lemma71(
     _check_admissible(mu0, mu1)
     p = build_psi(s0, s, s1, phi)
     idx = AnisotropicIndex(s, gamma, phi)
-    power = np.abs(np.fft.fftn(g.samples, norm="ortho")) ** 2
-    denom = math.sqrt(_folded_sum(lat, _weight(r, idx) ** 2, power) * lat.cell_volume)
+    power = _fold(lat, np.abs(np.fft.fftn(g.samples, norm="ortho")) ** 2)
+    denom = _parseval_norm(lat, _weight(r, idx) ** 2, power)
     if denom == 0.0:
         return 1.0
-    w = _interp_weight(mu0, mu1, p)
-    return math.sqrt(_folded_sum(lat, w**2, power) * lat.cell_volume) / denom
+    return _parseval_norm(lat, _interp_weight(mu0, mu1, p) ** 2, power) / denom
 
 
 def interp_subspace_norm(
@@ -207,8 +206,8 @@ def direct_sum_interp_check(
     for pair, g in zip(pairs, g_list):
         if g.lattice != pair.lattice:
             raise ValueError("grid and pair lattices differ")
-        root_cell = math.sqrt(pair.lattice.cell_volume)
-        w = _weighted_coeffs(_interp_weight(pair.mu0, pair.mu1, p), g.samples) * root_cell
+        w = _interp_weight(pair.mu0, pair.mu1, p) * np.abs(np.fft.fftn(g.samples, norm="ortho"))
+        w = w * math.sqrt(pair.lattice.cell_volume)
         weighted.append(w.ravel())
         per_summand.append(float(np.sqrt(np.sum(w**2))))
     lhs = float(np.linalg.norm(np.concatenate(weighted)))

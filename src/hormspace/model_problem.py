@@ -244,33 +244,11 @@ def solve_periodic(op: PeriodicParabolicOperator, f: GridFunction) -> GridFuncti
     return GridFunction(lat, u)
 
 
-def _time_derivative(samples: np.ndarray, lat: Lattice, mode: str) -> np.ndarray:
-    h = lat.L_t / lat.n_t
-    if mode == "spectral":
-        eta = lat.eta_axis()
-        coeffs = np.fft.fft(samples, axis=-1, norm="ortho")
-        return np.fft.ifft(coeffs * (1j * eta), axis=-1, norm="ortho")
-    if mode == "fd4":
-        return (
-            -np.roll(samples, -2, axis=-1)
-            + 8 * np.roll(samples, -1, axis=-1)
-            - 8 * np.roll(samples, 1, axis=-1)
-            + np.roll(samples, 2, axis=-1)
-        ) / (12 * h)
-    raise ValueError(f"unknown time_derivative mode {mode!r}")
-
-
-def apply_operator(
-    op: PeriodicParabolicOperator,
-    u: GridFunction,
-    *,
-    time_derivative: str = "spectral",
-) -> GridFunction:
+def apply_operator(op: PeriodicParabolicOperator, u: GridFunction) -> GridFunction:
     """Apply the operator: spatial spectral multiplier plus a_t d/dt.
 
-    time_derivative selects how d/dt is discretized: "spectral" (exact for
-    smooth time-periodic u) or "fd4" (a local stencil, usable on solutions
-    whose free tail wraps around the window).
+    d/dt is the fourth-order central difference, a local stencil, usable on
+    solutions whose free tail wraps around the window.
     """
     lat = u.lattice
     op._check_lattice(lat)
@@ -278,7 +256,12 @@ def apply_operator(
     mult = op.spatial_multiplier(lat)
     u_modes = np.fft.fftn(u.samples, axes=tuple(range(k)), norm="ortho")
     spatial = mult[..., None] * u_modes
-    dudt = _time_derivative(u.samples, lat, time_derivative)
+    dudt = (
+        -np.roll(u.samples, -2, axis=-1)
+        + 8 * np.roll(u.samples, -1, axis=-1)
+        - 8 * np.roll(u.samples, 1, axis=-1)
+        + np.roll(u.samples, 2, axis=-1)
+    ) / (12 * (lat.L_t / lat.n_t))
     spatial_phys = np.fft.ifftn(spatial, axes=tuple(range(k)), norm="ortho")
     return GridFunction(lat, op.a_t * dudt + spatial_phys)
 
@@ -292,7 +275,7 @@ def roundtrip_residual(op: PeriodicParabolicOperator, f: GridFunction) -> float:
     residual evaluator itself.
     """
     u = solve_periodic(op, f)
-    au = apply_operator(op, u, time_derivative="fd4")
+    au = apply_operator(op, u)
     t = f.lattice.t_axis()
     interior = (t > 0.0) & (t < op.tau)
     resid = (au.samples - f.samples)[..., interior]
@@ -351,7 +334,7 @@ def two_sided_ratio(
     # V; the recurrence stops at the first sample at or after tau, so u is
     # exactly 0 off the window
     stop = int(np.count_nonzero(lat.t_axis() < op.tau))
-    w_f = weight_array(lat, idx_f).reshape(-1, lat.n_t)
+    w2_f = weight_array(lat, idx_f).reshape(-1, lat.n_t) ** 2
     ratios = []
     while f is not None:
         if f.lattice != lat:
@@ -359,7 +342,7 @@ def two_sided_ratio(
         f = _spatial_modes(f)
         _check_forcing(op, lat, f.modes)
         coeffs = np.fft.fft(f.modes, axis=-1, norm="ortho")
-        fn = _parseval_norm(w_f[f.rows] * np.abs(coeffs), lat)
+        fn = _parseval_norm(lat, w2_f[f.rows], np.abs(coeffs) ** 2)
         if fn == 0.0:
             raise ValueError("ensemble contains a zero forcing; ratio undefined")
         u = _duhamel_modes(op, weights, f.rows, f.modes, stop)

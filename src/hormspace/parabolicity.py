@@ -6,8 +6,9 @@ homogeneity |alpha| + 2 b beta fixed (2m for the interior symbol, m_j for
 a boundary symbol).  Petrovskii parabolicity is decided by the root
 margin: every root p of A(omega, .) must have Re p < 0 on the unit sphere
 |omega| = 1, checked exactly at k = 1 and by a scan plus a gradient polish
-at k >= 2.  The covering condition is a rank test at sampled boundary
-frames.  One evaluator over a symbol's coefficient table serves both.
+at k >= 2, from one evaluator over the symbol's coefficient table.  The
+covering condition is a rank test at sampled boundary frames, on the
+zeta-polynomials that `_zeta_poly_from_coeffs` expands term by term.
 """
 
 from __future__ import annotations
@@ -45,8 +46,10 @@ _NEAR_REAL_REL = 1e-9
 _CLUSTER_REL = 1e-7
 _DELTA_MIN = 1e-9
 _COVER_TOL = 1e-8
-# the most sphere points petrovskii_check scans; its arrays grow with the count
+# the most sphere points petrovskii_check scans, and the most elements of the
+# (points, terms, k) power array its scan builds
 _MAX_SAMPLES = 2**20
+_MAX_SCAN_ELEMENTS = 2**26
 
 
 def _norm_coeffs(coeffs, n: int, b: int, degree: int, what: str):
@@ -250,10 +253,15 @@ def petrovskii_check(A: PrincipalSymbol, n_samples: int) -> PetrovskiiVerdict:
     on -Re p(v / |v|) / (largest scanned |root|), with the gradient
     dp/domega = -dA/domega / dA/dp.  The witness's roots are clustered, so a
     multiple root reads to rounding.  Passes iff delta > 1e-9 * (largest
-    |root| at the witness), which no constant factor of A changes.
+    |root| at the witness), which no constant factor of A changes.  More
+    than 2**20 points, or n_samples * (terms of A) * k above 2**26 elements
+    of the scan's power array, is refused before any point is built.
     """
     if not 1 <= n_samples <= _MAX_SAMPLES:
         raise ValueError(f"n_samples must be in [1, {_MAX_SAMPLES}], got {n_samples}")
+    elements = n_samples * len(A.coeffs) * A.n
+    if elements > _MAX_SCAN_ELEMENTS:
+        raise ValueError(f"n_samples * terms * k = {elements} exceeds {_MAX_SCAN_ELEMENTS}")
     A.validate_structure()
     n = A.n
     E, beta, c = table = _coeff_table(A)
@@ -328,7 +336,7 @@ def zeta_polynomial(A: PrincipalSymbol, frame: BoundaryFrame) -> np.ndarray:
     return _zeta_poly_from_coeffs(A.coeffs, frame, 2 * A.m)
 
 
-def _cluster_roots(roots: np.ndarray, rel_radius: float = _CLUSTER_REL) -> np.ndarray:
+def _cluster_roots(roots: np.ndarray) -> np.ndarray:
     """Merge eigenvalue clusters into centroids to stabilize multiple roots."""
     if roots.size <= 1:
         return roots
@@ -339,7 +347,7 @@ def _cluster_roots(roots: np.ndarray, rel_radius: float = _CLUSTER_REL) -> np.nd
         placed = False
         for cl in clusters:
             center = sum(cl) / len(cl)
-            if abs(z - center) <= rel_radius * (1.0 + abs(center)):
+            if abs(z - center) <= _CLUSTER_REL * (1.0 + abs(center)):
                 cl.append(z)
                 placed = True
                 break
@@ -444,13 +452,8 @@ def covering_check(
             raise DegenerateFrameError(
                 f"frame {i}: leading zeta coefficient is (near) zero"
             )
+        # 2m roots (the leading coefficient is nonzero), split m / m or refused
         plus, _ = root_split(poly)
-        if len(plus) != m:
-            raise CoveringPreconditionError(
-                f"frame {i}: expected {m} upper roots, found {len(plus)}",
-                n_plus=len(plus),
-                n_minus=2 * m - len(plus),
-            )
         pp = plus_polynomial(plus)
         mat = np.zeros((m, m), dtype=complex)
         for j, B in enumerate(Bs):

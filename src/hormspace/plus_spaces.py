@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConditioningError, InfeasibleConstraintError, UnsupportedParameterError
-from .spectra import AnisotropicIndex, GridFunction, Lattice, weight_array
+from .spectra import AnisotropicIndex, GridFunction, Lattice, _parseval_norm, weight_array
 
 __all__ = [
     "RegionMask",
@@ -217,27 +217,17 @@ class PlusNormSolver:
         x = q @ (q.transpose(0, 2, 1) @ rhs)
         blocks[:, self.free] = -(x[..., 0] + 1j * x[..., 1])
         coeffs = np.fft.fftn(blocks.reshape(w2.shape), axes=axes, norm="ortho")
-        energy = float(np.sum(w2 * np.abs(coeffs) ** 2))
-        return math.sqrt(max(energy, 0.0) * self.lattice.cell_volume)
+        return _parseval_norm(self.lattice, w2, np.abs(coeffs) ** 2)
 
     def _expand(self, u_on_v) -> np.ndarray:
-        """The data on V as a lattice array that is zero off V.  Refuses
-        non-finite data and nonzero data on V outside the t >= 0 window."""
-        lat = self.lattice
+        """The data on V as a lattice array that is zero off V.  Refuses a
+        non-grid shape, non-finite data and nonzero data on V outside t >= 0."""
         arr = np.asarray(u_on_v, dtype=complex)
+        if arr.shape != self.lattice.shape:
+            raise ValueError(f"data shape {arr.shape} != lattice shape {self.lattice.shape}")
         if not np.all(np.isfinite(arr)):
             raise ValueError("data must be finite")
-        if arr.shape == lat.shape:
-            full = np.where(self.region.v_mask, arr, 0.0)
-        else:
-            nnz = int(np.count_nonzero(self.region.v_mask))
-            if arr.ndim != 1 or arr.size != nnz:
-                raise ValueError(
-                    f"data must be the full grid or a vector of length {nnz} "
-                    "(C-order of v_mask)"
-                )
-            full = np.zeros(lat.shape, dtype=complex)
-            full[self.region.v_mask] = arr
+        full = np.where(self.region.v_mask, arr, 0.0)
         if np.any(full[self.forced_zero] != 0):
             n_bad = int(np.count_nonzero(full[self.forced_zero]))
             raise InfeasibleConstraintError(
@@ -249,7 +239,8 @@ class PlusNormSolver:
 
 def plus_norm(u_on_v, idx: AnisotropicIndex, region: RegionMask) -> PlusNormResult:
     """Factor norm of u over V: minimum weighted norm among extensions
-    supported in t >= 0.  Returns the norm and the minimizing extension."""
+    supported in t >= 0.  u is a full lattice grid, read on V only.  Returns
+    the norm and the minimizing extension."""
     if not np.any(region.v_mask):
         raise ValueError("v_mask selects no points")
     return PlusNormSolver(idx, region).solve(u_on_v)

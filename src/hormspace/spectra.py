@@ -19,8 +19,10 @@ Conventions used throughout the package:
   n // 2 + 1 FFT-order entries of every axis (m = 0, ..., n/2 - 1 and
   -n/2), which holds every value they take, and `_unfold` expands them to
   the whole lattice with the same bits at every point.  `_folded_sum` sums
-  an even array over the whole lattice from its folded quadrant alone; norms
-  take it against the folded |coeff|**2, equal to the full sum up to rounding.
+  an even array over the whole lattice from its folded quadrant alone;
+  `_fold`, the adjoint of `_unfold`, folds a power spectrum onto it.
+* Every weighted norm is the Parseval sum `_parseval_norm` of w**2 against
+  |coeff|**2, both whole-lattice or both folded (equal up to rounding).
 """
 
 from __future__ import annotations
@@ -176,23 +178,27 @@ def _unfold(lattice: Lattice, a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _folded_sum(lattice: Lattice, a: np.ndarray, b: np.ndarray | None = None) -> float:
+def _folded_sum(lattice: Lattice, a: np.ndarray) -> float:
     """Sum over the whole lattice of the even array whose folded quadrant is
-    a, times the whole-lattice array b when given.  A folded entry of an axis
-    stands for m and -m, except m = 0 and m = -n/2, their own mirrors (n = 1
-    has only m = 0): a is multiplied by those counts, or b is folded, entry m
-    collecting b[m] + b[-m] (once where m = -m), the adjoint of `_unfold`."""
+    a.  A folded entry of an axis stands for m and -m, except m = 0 and
+    m = -n/2, their own mirrors (n = 1 has only m = 0), so a is multiplied
+    by those counts."""
+    for axis, n in enumerate(lattice.shape):
+        count = np.full((n // 2 + 1,) + (1,) * (a.ndim - axis - 1), 2.0)
+        count[[0, -1]] = 1.0
+        a = a * count
+    return float(np.sum(a))
+
+
+def _fold(lattice: Lattice, b: np.ndarray) -> np.ndarray:
+    """The whole-lattice array b folded onto the quadrant: entry m collects
+    b[m] + b[-m] (once where m = -m), the adjoint of `_unfold`."""
     for axis, n in enumerate(lattice.shape):
         i = np.arange(n // 2 + 1)
-        if b is None:
-            count = np.full((i.size,) + (1,) * (a.ndim - axis - 1), 2.0)
-            count[[0, -1]] = 1.0
-            a = a * count
-        else:
-            # copies by np.take: adding views of b measured a higher peak RSS
-            b, mirror = np.take(b, i, axis=axis), np.take(b, n - i[1:-1], axis=axis)
-            b[(slice(None),) * axis + (slice(1, -1),)] += mirror
-    return float(np.sum(a if b is None else a * b))
+        # copies by np.take: adding views of b measured a higher peak RSS
+        b, mirror = np.take(b, i, axis=axis), np.take(b, n - i[1:-1], axis=axis)
+        b[(slice(None),) * axis + (slice(1, -1),)] += mirror
+    return b
 
 
 def r_gamma_array(lattice: Lattice, gamma: float) -> np.ndarray:
@@ -222,15 +228,10 @@ def idft(field: SpectralField) -> GridFunction:
     return GridFunction(field.lattice, np.fft.ifftn(field.coeffs, norm="ortho"))
 
 
-def _weighted_coeffs(w: np.ndarray, samples: np.ndarray) -> np.ndarray:
-    """w times the moduli of the unitary DFT coefficients of samples."""
-    return w * np.abs(np.fft.fftn(samples, norm="ortho"))
-
-
-def _parseval_norm(weighted: np.ndarray, lattice: Lattice) -> float:
-    """(sum weighted**2 cell_volume)**(1/2) for weighted = w |coeff| over the
-    unitary DFT coefficients of a grid function on the lattice."""
-    return float(np.sqrt(np.sum(weighted**2) * lattice.cell_volume))
+def _parseval_norm(lattice: Lattice, w2: np.ndarray, power: np.ndarray) -> float:
+    """(sum w2 power cell_volume)**(1/2) for a squared weight w2 and the power
+    |coeff|**2 of a unitary DFT, both whole-lattice or both folded."""
+    return math.sqrt(float(np.sum(w2 * power)) * lattice.cell_volume)
 
 
 def hnorm(g: GridFunction, idx: AnisotropicIndex) -> float:
@@ -242,7 +243,7 @@ def hnorm(g: GridFunction, idx: AnisotropicIndex) -> float:
     lat = g.lattice
     w = _weight(_folded_r(lat, idx.gamma), idx)
     power = np.abs(np.fft.fftn(g.samples, norm="ortho")) ** 2
-    return math.sqrt(_folded_sum(lat, w**2, power) * lat.cell_volume)
+    return _parseval_norm(lat, w**2, _fold(lat, power))
 
 
 def embedding_constants(

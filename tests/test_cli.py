@@ -103,6 +103,28 @@ def test_check_parabolic_refuses_oversized_sample_count(capsys, heat_file, monke
     assert str(parabolicity._MAX_SAMPLES) in captured.err
 
 
+def test_check_parabolic_refuses_scan_past_the_element_bound(capsys, tmp_path, monkeypatch):
+    # heat at k = 32 with 2**20 points: the count is allowed, but its power
+    # array of 2**20 * 33 * 32 elements is not, so no sphere point is built
+    from hormspace import parabolicity
+
+    def never(*args, **kwargs):
+        raise AssertionError("sphere points were built before the size check")
+
+    monkeypatch.setattr(parabolicity, "_kronecker_sphere", never)
+    unit = [[1 if i == j else 0 for i in range(32)] for j in range(32)]
+    spec = {"n": 32, "b": 1, "m": 1, "A": [{"alpha": [0] * 32, "beta": 1, "re": 1.0}]}
+    spec["A"] += [{"alpha": [2 * a for a in e], "beta": 0, "re": 1.0} for e in unit]
+    path = tmp_path / "heat32.json"
+    path.write_text(json.dumps(spec))
+    code = cli.main(["check-parabolic", str(path), "--samples", str(2**20)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert str(parabolicity._MAX_SCAN_ELEMENTS) in captured.err
+
+
 @pytest.mark.parametrize(
     "value, expected_code", [(math.inf, 2), (math.nan, 2), (1e300, 0)]
 )

@@ -148,6 +148,46 @@ def test_verify_lemma71_is_the_quotient_of_the_public_norms(k, n_x, n_t, phi, s0
     assert ip.verify_lemma71(g, s0, s, s1, 0.5, phi) == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
+def test_verify_lemma71_transforms_and_folds_once(monkeypatch, medium_lattice):
+    calls = {"fftn": 0, "fold": 0}
+    fftn, fold = np.fft.fftn, ip._fold
+
+    def fftn_spy(*args, **kwargs):
+        calls["fftn"] += 1
+        return fftn(*args, **kwargs)
+
+    def fold_spy(*args):
+        calls["fold"] += 1
+        return fold(*args)
+
+    monkeypatch.setattr(np.fft, "fftn", fftn_spy)
+    monkeypatch.setattr(ip, "_fold", fold_spy)
+    g = sp.random_grid(medium_lattice, 3)
+    for n in (1, 2):
+        ip.verify_lemma71(g, 0.0, 1.3, 2.0, 0.5, cm.log_power([0.7]))
+        assert calls == {"fftn": n, "fold": n}
+
+
+@pytest.mark.parametrize("k,n_x,n_t", [(1, 16, 32), (2, 8, 16), (3, 4, 8)])
+@pytest.mark.parametrize("phi", [cm.constant_one(), cm.log_power([0.7])], ids=["one", "log"])
+def test_verify_lemma71_denominator_is_hnorm_to_the_last_bit(monkeypatch, k, n_x, n_t, phi):
+    # the first Parseval sum verify_lemma71 takes is its denominator
+    sums = []
+    parseval = ip._parseval_norm
+
+    def spy(*args):
+        sums.append(parseval(*args))
+        return sums[-1]
+
+    monkeypatch.setattr(ip, "_parseval_norm", spy)
+    lat = sp.Lattice(k=k, n_x=n_x, n_t=n_t, L_x=2 * math.pi, L_t=2 * math.pi)
+    g = sp.random_grid(lat, 7)
+    ratio = ip.verify_lemma71(g, 0.3, 1.1, 2.7, 0.5, phi)
+    assert len(sums) == 2
+    assert sums[0] == sp.hnorm(g, sp.AnisotropicIndex(1.1, 0.5, phi))
+    assert ratio == sums[1] / sums[0]
+
+
 def test_direct_sum_equality(medium_lattice):
     p = ip.build_psi(0, 1, 2, cm.log_power([1]))
     rng = np.random.default_rng(7)

@@ -188,14 +188,17 @@ def test_solve_takes_exact_duhamel_steps(lower_order):
     assert duhamel_step_residual(op, f, perturbed) > 1e-8
 
 
-def test_apply_operator_constant_in_x_is_time_derivative(heat_op):
+def test_apply_operator_constant_in_x_is_the_fd4_stencil(heat_op):
+    # on sin(w t) the fourth-order stencil gives exactly
+    # cos(w t) (8 sin(w h) - sin(2 w h)) / (6 h)
     lat = _lattice()
     t = lat.t_axis()
-    profile = np.sin(2 * math.pi * t / lat.L_t)
-    u = sp.GridFunction(lat, np.broadcast_to(profile, lat.shape).copy())
-    au = mp.apply_operator(heat_op, u, time_derivative="spectral")
-    expected = (2 * math.pi / lat.L_t) * np.cos(2 * math.pi * t / lat.L_t)
-    assert np.allclose(au.samples, np.broadcast_to(expected, lat.shape), atol=1e-10)
+    w, h = 2 * math.pi / lat.L_t, lat.L_t / lat.n_t
+    u = sp.GridFunction(lat, np.broadcast_to(np.sin(w * t), lat.shape).copy())
+    au = mp.apply_operator(heat_op, u)
+    amplitude = (8 * math.sin(w * h) - math.sin(2 * w * h)) / (6 * h)
+    expected = np.broadcast_to(amplitude * np.cos(w * t), lat.shape)
+    assert np.max(np.abs(au.samples - expected)) <= 1e-12 * amplitude
 
 
 def test_roundtrip_residual_second_order(heat_op):

@@ -102,6 +102,37 @@ def test_petrovskii_refuses_sample_counts_it_cannot_hold(monkeypatch, n_samples)
         pb.petrovskii_check(heat_symbol(), n_samples)
 
 
+def test_petrovskii_refuses_scans_past_the_element_bound(monkeypatch):
+    # heat at k = 32 has 33 terms: 2**20 points would need a power array of
+    # 2**20 * 33 * 32 elements, past 2**26, although the count is allowed
+    def no_scan(*args):
+        raise AssertionError("scan built before the array size was refused")
+
+    monkeypatch.setattr(pb, "_kronecker_sphere", no_scan)
+    with pytest.raises(ValueError, match="n_samples"):
+        pb.petrovskii_check(heat_symbol(32), 2**20)
+
+
+def test_petrovskii_scans_at_the_element_bound(monkeypatch):
+    # 2**20 points, 4 terms and k = 16 make exactly 2**26 elements: the scan
+    # is reached, and the spy stops it there
+    class Reached(Exception):
+        pass
+
+    def spy(n_samples, dim):
+        raise Reached(n_samples, dim)
+
+    monkeypatch.setattr(pb, "_kronecker_sphere", spy)
+    coeffs = {((0,) * 16, 1): 1.0}
+    for j in range(3):
+        coeffs[(tuple(2 if i == j else 0 for i in range(16)), 0)] = 1.0
+    A = pb.PrincipalSymbol(n=16, b=1, m=1, coeffs=coeffs)
+    assert 2**20 * len(A.coeffs) * A.n == pb._MAX_SCAN_ELEMENTS
+    with pytest.raises(Reached) as reached:
+        pb.petrovskii_check(A, 2**20)
+    assert reached.value.args == (2**20, 16)
+
+
 def test_petrovskii_squared_heat():
     v = pb.petrovskii_check(squared_heat_symbol(), 10000)
     assert v.passed

@@ -44,8 +44,11 @@ def test_plus_norm_refuses_non_finite_data(small_lattice, bad):
     vector[0] = bad
     full = np.zeros(small_lattice.shape, dtype=complex)
     full[region.v_mask] = vector
-    for data in (vector, full):
-        with pytest.raises(ValueError, match="finite"):
+    with pytest.raises(ValueError, match="finite"):
+        ps.plus_norm(full, sp.AnisotropicIndex(1.0, 0.5), region)
+    # the data is a full grid: a vector of its values on V is refused
+    for data in (vector, np.ones_like(vector)):
+        with pytest.raises(ValueError, match="shape"):
             ps.plus_norm(data, sp.AnisotropicIndex(1.0, 0.5), region)
 
 

@@ -320,8 +320,25 @@ def test_folded_sum_is_the_sum_over_the_unfolded_lattice(k, n_x, n_t):
     assert sp._folded_sum(lat, np.ones(shape)) == lat.size
     # against a whole-lattice b, which is folded: b[m] + b[-m], once at m = -m
     b = rng.integers(-1000, 1000, size=lat.shape).astype(float)
-    assert sp._folded_sum(lat, a, b) == float(np.sum(sp._unfold(lat, a) * b))
-    assert sp._folded_sum(lat, np.ones(shape), b) == float(np.sum(b))
+    assert np.sum(a * sp._fold(lat, b)) == float(np.sum(sp._unfold(lat, a) * b))
+    assert np.sum(np.ones(shape) * sp._fold(lat, b)) == float(np.sum(b))
+
+
+@pytest.mark.parametrize(
+    "k, n_x, n_t", [(1, 1, 1), (1, 1, 4), (2, 2, 1), (1, 4, 2), (2, 4, 8), (3, 8, 4), (1, 16, 1)]
+)
+def test_fold_is_the_adjoint_of_unfold(k, n_x, n_t):
+    # sum unfold(a) * b == sum a * fold(b), exactly on integers, on axes of
+    # 1, 2 and at least 4 points
+    lat = sp.Lattice(k=k, n_x=n_x, n_t=n_t, L_x=1.0, L_t=1.0)
+    shape = sp._folded_r(lat, 1.0).shape
+    rng = np.random.default_rng(k + 10 * n_x + 100 * n_t)
+    for _ in range(5):
+        a = rng.integers(-1000, 1000, size=shape).astype(float)
+        b = rng.integers(-1000, 1000, size=lat.shape).astype(float)
+        folded = sp._fold(lat, b)
+        assert folded.shape == shape
+        assert np.sum(sp._unfold(lat, a) * b) == np.sum(a * folded)
 
 
 def test_the_folded_layout_is_named_only_in_spectra():
