@@ -186,8 +186,10 @@ def _cmd_norm(args) -> tuple[dict, int]:
     # r_gamma_max from the folded r_gamma, which holds every value it takes
     r = spectra._folded_r(lat, idx.gamma)
     r_gamma_max = float(np.max(r))
-    w2 = spectra._weight(r, idx) ** 2
-    hnorm = spectra._parseval_norm(lat, w2, spectra._fold(lat, np.abs(field_.coeffs) ** 2))
+    # squares and folds past the largest float are inf, refused by the sum
+    with np.errstate(over="ignore"):
+        w2 = spectra._weight(r, idx) ** 2
+        hnorm = spectra._parseval_norm(lat, w2, spectra._fold(lat, np.abs(field_.coeffs) ** 2))
     back = spectra.idft(field_)
     # each full-lattice array is dropped once used, so that fewer of them
     # are alive under the round-trip difference and the embedding constants

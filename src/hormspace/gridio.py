@@ -60,7 +60,8 @@ def load_grid(path) -> tuple[GridFunction, RegionMask | None]:
     masks_at = _HEADER.size + 8 * n
     if len(raw) < masks_at:
         raise ValueError(f"{path}: truncated sample section")
-    samples = np.frombuffer(raw, dtype="<c8", count=n, offset=_HEADER.size).astype(complex)
+    with np.errstate(invalid="ignore"):  # a signalling nan, which GridFunction refuses
+        samples = np.frombuffer(raw, dtype="<c8", count=n, offset=_HEADER.size).astype(complex)
     g = GridFunction(lat, samples.reshape(lat.shape))
     if len(raw) == masks_at:
         return g, None

@@ -19,7 +19,7 @@ import numpy as np
 from .class_m import PhiFunction, eval_phi
 from .plus_spaces import RegionMask, plus_norm
 from .spectra import AnisotropicIndex, GridFunction, Lattice, r_gamma_array
-from .spectra import _fold, _folded_r, _parseval_norm, _weight
+from .spectra import _finite, _fold, _folded_r, _parseval_norm, _weight
 
 __all__ = [
     "DiagonalPair",
@@ -65,7 +65,8 @@ class DiagonalPair:
 def sobolev_pair(lattice: Lattice, s0: float, s1: float, gamma: float) -> DiagonalPair:
     """The pair with weights r_gamma**s0 and r_gamma**s1 (s0 <= s1)."""
     r = r_gamma_array(lattice, gamma)
-    return DiagonalPair(lattice, r**s0, r**s1)
+    with np.errstate(over="ignore"):
+        return DiagonalPair(lattice, r**s0, r**s1)
 
 
 @dataclass(frozen=True)
@@ -125,16 +126,18 @@ def generating_operator(pair: DiagonalPair) -> np.ndarray:
 
 
 def _interp_weight(mu0: np.ndarray, mu1: np.ndarray, p: InterpParameter) -> np.ndarray:
-    """The interpolated weight mu0 * psi(mu1 / mu0) of the pair (mu0, mu1)."""
-    return mu0 * eval_psi(p, mu1 / mu0)
+    """mu0 * psi(mu1 / mu0) of the pair (mu0, mu1), refused past the largest float."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _finite(mu0 * eval_psi(p, mu1 / mu0), "interpolated weight")
 
 
 def interp_norm(g: GridFunction, pair: DiagonalPair, p: InterpParameter) -> float:
     """mu0-weighted norm of psi(multiplier) applied spectrally to g."""
     if g.lattice != pair.lattice:
         raise ValueError("grid and pair lattices differ")
-    power = np.abs(np.fft.fftn(g.samples, norm="ortho")) ** 2
-    return _parseval_norm(g.lattice, _interp_weight(pair.mu0, pair.mu1, p) ** 2, power)
+    with np.errstate(over="ignore"):
+        power = np.abs(np.fft.fftn(g.samples, norm="ortho")) ** 2
+        return _parseval_norm(g.lattice, _interp_weight(pair.mu0, pair.mu1, p) ** 2, power)
 
 
 def verify_lemma71(
@@ -151,16 +154,17 @@ def verify_lemma71(
     """
     lat = g.lattice
     r = _folded_r(lat, gamma)
-    mu0, mu1 = r**s0, r**s1
-    # the refusals of DiagonalPair(lat, mu0, mu1), over the same values
-    _check_admissible(mu0, mu1)
     p = build_psi(s0, s, s1, phi)
     idx = AnisotropicIndex(s, gamma, phi)
-    power = _fold(lat, np.abs(np.fft.fftn(g.samples, norm="ortho")) ** 2)
-    denom = _parseval_norm(lat, _weight(r, idx) ** 2, power)
-    if denom == 0.0:
-        return 1.0
-    return _parseval_norm(lat, _interp_weight(mu0, mu1, p) ** 2, power) / denom
+    with np.errstate(over="ignore"):
+        mu0, mu1 = r**s0, r**s1
+        # the refusals of DiagonalPair(lat, mu0, mu1), over the same values
+        _check_admissible(mu0, mu1)
+        power = _fold(lat, np.abs(np.fft.fftn(g.samples, norm="ortho")) ** 2)
+        denom = _parseval_norm(lat, _weight(r, idx) ** 2, power)
+        if denom == 0.0:
+            return 1.0
+        return _parseval_norm(lat, _interp_weight(mu0, mu1, p) ** 2, power) / denom
 
 
 def interp_subspace_norm(
@@ -201,12 +205,14 @@ def direct_sum_interp_check(
     summand norms; these agree to rounding."""
     if len(pairs) != len(g_list) or not pairs:
         raise ValueError("pairs and inputs must align and be nonempty")
+    # one interpolated weight for each distinct pair, however often it recurs
+    weights = {id(q): _interp_weight(q.mu0, q.mu1, p) for q in {id(q): q for q in pairs}.values()}
     weighted = []
     per_summand = []
     for pair, g in zip(pairs, g_list):
         if g.lattice != pair.lattice:
             raise ValueError("grid and pair lattices differ")
-        w = _interp_weight(pair.mu0, pair.mu1, p) * np.abs(np.fft.fftn(g.samples, norm="ortho"))
+        w = weights[id(pair)] * np.abs(np.fft.fftn(g.samples, norm="ortho"))
         w = w * math.sqrt(pair.lattice.cell_volume)
         weighted.append(w.ravel())
         per_summand.append(float(np.sqrt(np.sum(w**2))))

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConditioningError, InfeasibleConstraintError, UnsupportedParameterError
-from .spectra import AnisotropicIndex, GridFunction, Lattice, _parseval_norm, weight_array
+from .spectra import AnisotropicIndex, GridFunction, Lattice, _finite, _parseval_norm, weight_array
 
 __all__ = [
     "RegionMask",
@@ -157,13 +157,15 @@ class PlusNormSolver:
         self.outer_axes = tuple(range(lat.k)) if self.slab else ()
         block_shape = lat.shape[len(self.outer_axes) :]
         self.block_axes = tuple(range(1, len(block_shape) + 1))
-        self.w2 = (weight_array(lat, idx) ** 2).reshape((-1,) + block_shape)
+        with np.errstate(over="ignore"):
+            self.w2 = (weight_array(lat, idx) ** 2).reshape((-1,) + block_shape)
         n_blocks = len(self.w2)
         # rows with equal bytes share one block: each distinct row is
         # factored once, and cls[row] is its class
         w2_rows = self.w2.reshape(n_blocks, -1)
         key = w2_rows.view(np.dtype((np.void, w2_rows.shape[1] * w2_rows.itemsize)))[:, 0]
         _, first, self.cls = np.unique(key, return_index=True, return_inverse=True)
+        w2_max = _finite(w2_rows.max(axis=1), "squared weight")[first]
         # all slab rows share one free set; a general region has one row
         self.free = np.flatnonzero(self.free_mask.reshape(n_blocks, -1)[0])
         # w**2 is even in every frequency, so its inverse DFT is real
@@ -171,7 +173,6 @@ class PlusNormSolver:
         self.Q = _gram(kernel, self.free, block_shape)
         cond = np.ones(first.size)
         if self.free.size:
-            w2_max = w2_rows[first].max(axis=1)
             for c in range(first.size):
                 cond[c] = _cholesky_inverse_factor(self.Q[c], float(w2_max[c]))
         failed = np.isinf(cond)

@@ -207,9 +207,9 @@ def r_gamma_array(lattice: Lattice, gamma: float) -> np.ndarray:
 
 
 def _weight(r: np.ndarray, idx: AnisotropicIndex, phi_r=None) -> np.ndarray:
-    """r**s * phi(r) at the r_gamma values r; phi_r, when given, is
-    phi(r) already evaluated."""
-    return r**idx.s * (eval_phi(idx.phi, r) if phi_r is None else phi_r)
+    """r**s * phi(r) at the r_gamma values r, inf past the largest float; phi_r is phi(r)."""
+    with np.errstate(over="ignore"):
+        return r**idx.s * (eval_phi(idx.phi, r) if phi_r is None else phi_r)
 
 
 def weight_array(lattice: Lattice, idx: AnisotropicIndex) -> np.ndarray:
@@ -228,10 +228,19 @@ def idft(field: SpectralField) -> GridFunction:
     return GridFunction(field.lattice, np.fft.ifftn(field.coeffs, norm="ortho"))
 
 
+def _finite(x, what: str):
+    """x, refused (ValueError) if it holds an inf or a nan; a float is compared
+    directly, since np.max of one costs about as much as a short sum."""
+    if not (x if isinstance(x, float) else np.max(x)) < math.inf:
+        raise ValueError(f"the {what} overflows double precision")
+    return x
+
+
 def _parseval_norm(lattice: Lattice, w2: np.ndarray, power: np.ndarray) -> float:
-    """(sum w2 power cell_volume)**(1/2) for a squared weight w2 and the power
-    |coeff|**2 of a unitary DFT, both whole-lattice or both folded."""
-    return math.sqrt(float(np.sum(w2 * power)) * lattice.cell_volume)
+    """(sum w2 power cell_volume)**(1/2), refused unless finite, for a squared
+    weight w2 and the power |coeff|**2 of a unitary DFT, both whole-lattice or both folded."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _finite(math.sqrt(float(np.sum(w2 * power)) * lattice.cell_volume), "weighted sum")
 
 
 def hnorm(g: GridFunction, idx: AnisotropicIndex) -> float:
@@ -242,8 +251,9 @@ def hnorm(g: GridFunction, idx: AnisotropicIndex) -> float:
     """
     lat = g.lattice
     w = _weight(_folded_r(lat, idx.gamma), idx)
-    power = np.abs(np.fft.fftn(g.samples, norm="ortho")) ** 2
-    return _parseval_norm(lat, w**2, _fold(lat, power))
+    with np.errstate(over="ignore"):
+        power = np.abs(np.fft.fftn(g.samples, norm="ortho")) ** 2
+        return _parseval_norm(lat, w**2, _fold(lat, power))
 
 
 def embedding_constants(

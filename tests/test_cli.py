@@ -1,5 +1,7 @@
+import contextlib
 import importlib
 import inspect
+import io
 import json
 import math
 import struct
@@ -7,7 +9,10 @@ import sys
 import warnings
 import weakref
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import scattered_16x32
 from hormspace import class_m as cm
@@ -563,6 +568,130 @@ def test_malformed_input_exits_2_without_traceback(capsys, tmp_path, case):
     assert captured.err.startswith("error: ")
 
 
+# -- a generated search over malformed and extreme grid files ---------------
+
+_SHAPES = st.tuples(st.sampled_from([1, 2]), st.sampled_from([1, 2, 4]), st.sampled_from([1, 2, 4, 8]))
+_BAD_INT = st.sampled_from([0, 3, 6, 64, 2**31, 2**32 - 1])
+_BAD_PERIOD = st.sampled_from([0.0, -1.0, math.nan, math.inf])
+
+
+@st.composite
+def _hgrd_bytes(draw):
+    """An HGRD file: valid, or with one header field, its length or a mask
+    section changed."""
+    k, n_x, n_t = draw(_SHAPES)
+    n = n_x**k * n_t
+    header = {"k": k, "n_x": n_x, "n_t": n_t, "L_x": 2 * math.pi, "L_t": 2 * math.pi}
+    if draw(st.booleans()):
+        # any bytes, nan and inf samples among them
+        samples = draw(st.binary(min_size=8 * n, max_size=8 * n))
+    else:
+        scale = draw(st.sampled_from([1.0, 1e20, 3e38]))
+        rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+        samples = (scale * rng.uniform(-1, 1, 2 * n)).astype("<f4").tobytes()
+    masks = draw(st.binary(min_size=2 * ((n + 7) // 8), max_size=2 * ((n + 7) // 8)))
+    masks = masks if draw(st.booleans()) else b""
+    change = draw(st.sampled_from(["none", "k", "n_x", "n_t", "L_x", "L_t", "cut", "extend", "mask"]))
+    if change in ("k", "n_x", "n_t"):
+        header[change] = draw(_BAD_INT)
+    elif change in ("L_x", "L_t"):
+        header[change] = draw(_BAD_PERIOD)
+    elif change == "mask":
+        masks = masks[:-1] if masks and draw(st.booleans()) else masks + b"\0"
+    raw = struct.pack("<4sIIIdd", b"HGRD", *header.values()) + samples + masks
+    if change == "cut":
+        raw = raw[: draw(st.integers(0, len(raw) - 1))]
+    elif change == "extend":
+        raw += draw(st.binary(min_size=1, max_size=16))
+    return raw
+
+
+_SAMPLE = st.floats(-1e200, 1e200, allow_nan=False)
+
+
+@st.composite
+def _json_grid_text(draw):
+    """A JSON grid: valid, or with a key missing, a bool or a float where an
+    int belongs, or one sample too many or too few; samples up to 1e200."""
+    k, n_x, n_t = draw(_SHAPES)
+    n = n_x**k * n_t
+    d = {"k": k, "n_x": n_x, "n_t": n_t, "L_x": 2 * math.pi, "L_t": 2 * math.pi,
+         "re": draw(st.lists(_SAMPLE, min_size=n, max_size=n)),
+         "im": draw(st.lists(_SAMPLE, min_size=n, max_size=n))}
+    change = draw(st.sampled_from(["none", "missing", "bool", "float", "count", "period"]))
+    if change == "missing":
+        del d[draw(st.sampled_from(sorted(d)))]
+    elif change in ("bool", "float"):
+        key = draw(st.sampled_from(["k", "n_x", "n_t"]))
+        d[key] = draw(st.booleans()) if change == "bool" else float(d[key])
+    elif change == "count":
+        d["re"] = d["re"][:-1] if draw(st.booleans()) else d["re"] + [1.0]
+    elif change == "period":
+        # NaN and Infinity, which Python's json writes and reads
+        d[draw(st.sampled_from(["L_x", "L_t"]))] = draw(_BAD_PERIOD)
+    return json.dumps(d)
+
+
+def _finite_numbers(value) -> bool:
+    if isinstance(value, dict):
+        return all(map(_finite_numbers, value.values()))
+    if isinstance(value, list):
+        return all(map(_finite_numbers, value))
+    if isinstance(value, str):
+        return value not in ("inf", "-inf", "nan")
+    return not isinstance(value, float) or math.isfinite(value)
+
+
+def _norm_reports_or_refuses(path):
+    """norm of the grid at path, for three orders: one JSON line of finite
+    numbers with exit 0, or one error line with exit 2 and no report; a
+    warning is an error under pytest, and fails the check as an exception."""
+    for s in ("0.5", "3", "150"):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["norm", str(path), "--s", s, "--gamma", "0.5"])
+        if code == 0:
+            assert err.getvalue() == "" and out.getvalue().count("\n") == 1
+            assert _finite_numbers(json.loads(out.getvalue()))
+        else:
+            assert code == 2 and out.getvalue() == ""
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+
+@pytest.fixture(scope="module")
+def search_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("search")
+
+
+def test_hgrd_signalling_nan_sample_exit_2(capsys, tmp_path):
+    # found by the search: the complex64 -> complex cast of a signalling nan
+    # warned before GridFunction refused the sample
+    path = tmp_path / "snan.hgrd"
+    header = struct.pack("<4sIIIdd", b"HGRD", 1, 1, 1, 2 * math.pi, 2 * math.pi)
+    path.write_bytes(header + b"\x00\x00\x81\x7f\x00\x00\x00\x00")
+    code = cli.main(["norm", str(path), "--s", "3", "--gamma", "0.5"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: samples must be finite\n"
+
+
+@settings(derandomize=True, max_examples=80, deadline=None, database=None)
+@given(raw=_hgrd_bytes())
+def test_generated_hgrd_files_are_reported_or_refused(search_dir, raw):
+    path = search_dir / "g.hgrd"
+    path.write_bytes(raw)
+    _norm_reports_or_refuses(path)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None, database=None)
+@given(text=_json_grid_text())
+def test_generated_json_grids_are_reported_or_refused(search_dir, text):
+    path = search_dir / "g.json"
+    path.write_text(text)
+    _norm_reports_or_refuses(path)
+
+
 @pytest.mark.parametrize(
     "phi",
     ['{"kind":"log_power","exponents":[NaN]}',
@@ -728,3 +857,67 @@ def test_model_verify_refuses_empty_ladder_before_any_ratio(capsys, heat_file, m
     assert calls == []
     assert captured.out == ""
     assert captured.err == f"error: levels must be at least 1, got {levels}\n"
+
+
+@pytest.fixture(scope="module")
+def overflow_grids(tmp_path_factory):
+    """A 32**3 x 64 grid, a 32**2 x 64 slab grid with its region and a
+    k = 1, 4 x 4 JSON grid whose samples are all 1e200."""
+    tmp = tmp_path_factory.mktemp("overflow")
+    lat3 = sp.Lattice(k=3, n_x=32, n_t=64, L_x=2 * math.pi, L_t=2 * math.pi)
+    gridio.save_grid(tmp / "cube.hgrd", sp.random_grid(lat3, 1))
+    lat2 = sp.Lattice(k=2, n_x=32, n_t=64, L_x=2 * math.pi, L_t=2 * math.pi)
+    supported = sp.random_grid(lat2, 2).samples * (lat2.t_axis() >= 0)
+    region = ps.time_window_region(lat2, 0.0, lat2.L_t / 4)
+    gridio.save_grid(tmp / "slab.hgrd", sp.GridFunction(lat2, supported), region)
+    lat1 = sp.Lattice(k=1, n_x=4, n_t=4, L_x=2 * math.pi, L_t=2 * math.pi)
+    d = json.loads(gridio.grid_to_json(sp.random_grid(lat1, 0)))
+    d["re"] = d["im"] = [1e200] * 16
+    (tmp / "huge.json").write_text(json.dumps(d))
+    (tmp / "heat2d.json").write_text(json.dumps(HEAT_JSON))
+    return tmp
+
+
+OVERFLOWS = {
+    # each once printed an inf or nan report, or a linear-algebra error,
+    # after numpy overflow warnings
+    "norm-s150": lambda t: ["norm", str(t / "cube.hgrd"), "--s", "150", "--gamma", "0.5"],
+    "norm-1e200": lambda t: ["norm", str(t / "huge.json"), "--s", "3", "--gamma", "0.5"],
+    "lemma71-s200": lambda t: [
+        "verify-lemma71", "--s0", "0", "--s", "200", "--s1", "400", "--lattice", "16x16x16"],
+    "plus-norm-s400": lambda t: ["plus-norm", str(t / "slab.hgrd"), "--s", "400", "--gamma", "0.5"],
+    "model-verify-sigma300": lambda t: ["model-verify", str(t / "heat2d.json"), "--sigma", "300"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVERFLOWS))
+def test_overflowing_weight_or_sum_is_refused(capsys, overflow_grids, case):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(OVERFLOWS[case](overflow_grids))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: the ")
+    assert captured.err.endswith(" overflows double precision\n")
+    assert len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv, embedding",
+    [(["--s", "1", "--embed-window", "0", "400"], [1, 1]), (["--s", "100"], None)],
+    ids=["upper-weight-overflows", "s100"],
+)
+def test_finite_norm_with_large_weights_is_not_refused(capsys, overflow_grids, argv, embedding):
+    # only the embedding window's upper weight overflows, or none does: both
+    # reports are exact, and no warning is raised
+    path = overflow_grids / "cube.hgrd"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run_cli(capsys, ["norm", str(path), "--gamma", "0.5"] + argv)
+    assert code == 0
+    report = json.loads(out)
+    g, _region = gridio.load_grid(path)
+    assert report["hnorm"] == sp.hnorm(g, sp.AnisotropicIndex(float(argv[1]), 0.5))
+    assert math.isfinite(report["hnorm"])
+    assert report.get("embedding_constants") == embedding

@@ -213,6 +213,41 @@ def test_direct_sum_degenerate_cases(medium_lattice):
         ip.direct_sum_interp_check([pair], [g, g], p)
 
 
+@pytest.mark.parametrize("distinct", [1, 3])
+def test_direct_sum_takes_one_weight_per_distinct_pair(medium_lattice, monkeypatch, distinct):
+    p = ip.build_psi(0, 1, 2, cm.log_power([1]))
+    pairs = [ip.sobolev_pair(medium_lattice, 0.1 * i, 2 + 0.1 * i, 0.5) for i in range(distinct)]
+    pairs = (pairs * 3)[:3]
+    gs = [sp.random_grid(medium_lattice, 30 + i) for i in range(3)]
+    calls = []
+    interp_weight = ip._interp_weight
+
+    def spy(mu0, mu1, p):
+        calls.append(mu0)
+        return interp_weight(mu0, mu1, p)
+
+    monkeypatch.setattr(ip, "_interp_weight", spy)
+    lhs, rhs = ip.direct_sum_interp_check(pairs, gs, p)
+    assert len(calls) == distinct
+    # each summand keeps the arithmetic of a weight taken for it alone
+    summands = []
+    for pair, g in zip(pairs, gs):
+        w = interp_weight(pair.mu0, pair.mu1, p) * np.abs(np.fft.fftn(g.samples, norm="ortho"))
+        summands.append(w * math.sqrt(medium_lattice.cell_volume))
+    assert lhs == float(np.linalg.norm(np.concatenate([w.ravel() for w in summands])))
+    assert rhs == float(np.sqrt(np.sum(np.asarray([np.sqrt(np.sum(w**2)) for w in summands]) ** 2)))
+
+
+def test_overflowing_interpolated_weight_is_refused():
+    # r**400 overflows where r > 5.9, so psi(mu1 / mu0) = r would read inf
+    lat = sp.Lattice(k=2, n_x=16, n_t=16, L_x=2 * math.pi, L_t=2 * math.pi)
+    g = sp.random_grid(lat, 5)
+    with pytest.raises(ValueError, match="the interpolated weight overflows double precision"):
+        ip.verify_lemma71(g, 0.0, 1.0, 400.0, 0.5, cm.constant_one())
+    with pytest.raises(ValueError, match="the interpolated weight overflows double precision"):
+        ip.interp_norm(g, ip.sobolev_pair(lat, 0.0, 400.0, 0.5), ip.build_psi(0, 1, 400, cm.constant_one()))
+
+
 def test_interp_subspace_norm_zero(small_lattice):
     region = ps.time_window_region(small_lattice, 0.0, small_lattice.L_t / 4)
     zero = sp.GridFunction(small_lattice, np.zeros(small_lattice.shape))

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import backward_heat_symbol, duhamel_step_residual, heat_symbol, squared_heat_symbol
 from hormspace import class_m as cm
 from hormspace import model_problem as mp
+from hormspace import parabolicity as pb
 from hormspace import plus_spaces as ps
 from hormspace import spectra as sp
 from hormspace.errors import StabilityError
@@ -188,17 +189,72 @@ def test_solve_takes_exact_duhamel_steps(lower_order):
     assert duhamel_step_residual(op, f, perturbed) > 1e-8
 
 
-def test_apply_operator_constant_in_x_is_the_fd4_stencil(heat_op):
-    # on sin(w t) the fourth-order stencil gives exactly
-    # cos(w t) (8 sin(w h) - sin(2 w h)) / (6 h)
-    lat = _lattice()
+def _grid_residual(op, f):
+    """The round-trip residual taken on the grid: solve_periodic, then the
+    spatial multiplier by a spatial fftn and ifftn of the samples and the
+    fourth-order stencil along time."""
+    lat = f.lattice
+    axes = tuple(range(lat.k))
+    u = mp.solve_periodic(op, f).samples
+    spatial = np.fft.ifftn(
+        op.spatial_multiplier(lat)[..., None] * np.fft.fftn(u, axes=axes, norm="ortho"),
+        axes=axes,
+        norm="ortho",
+    )
+    h = lat.L_t / lat.n_t
+    dudt = (np.roll(u, 2, -1) - 8 * np.roll(u, 1, -1) + 8 * np.roll(u, -1, -1) - np.roll(u, -2, -1))
+    au = op.a_t * dudt / (12 * h) + spatial
     t = lat.t_axis()
-    w, h = 2 * math.pi / lat.L_t, lat.L_t / lat.n_t
-    u = sp.GridFunction(lat, np.broadcast_to(np.sin(w * t), lat.shape).copy())
-    au = mp.apply_operator(heat_op, u)
-    amplitude = (8 * math.sin(w * h) - math.sin(2 * w * h)) / (6 * h)
-    expected = np.broadcast_to(amplitude * np.cos(w * t), lat.shape)
-    assert np.max(np.abs(au.samples - expected)) <= 1e-12 * amplitude
+    interior = (t > 0.0) & (t < op.tau)
+    return np.linalg.norm((au - f.samples)[..., interior]) / np.linalg.norm(f.samples[..., interior])
+
+
+def _mixed_symbol():
+    """p + xi_1**2 + xi_1 xi_2 + xi_2**2: parabolic, with a mixed term."""
+    coeffs = {((0, 0), 1): 1.0, ((2, 0), 0): 1.0, ((1, 1), 0): 1.0, ((0, 2), 0): 1.0}
+    return pb.PrincipalSymbol(n=2, b=1, m=1, coeffs=coeffs)
+
+
+@pytest.mark.parametrize("seed", [4, 9])
+@pytest.mark.parametrize(
+    "symbol, lower_order",
+    [
+        (heat_symbol(1), {}),
+        (heat_symbol(2), {}),
+        (_mixed_symbol(), {(1, 0): 0.5j, (0, 1): 0.3 + 0.2j, (0, 0): 0.25}),
+    ],
+    ids=["heat-k1", "heat-k2", "mixed-complex-lower"],
+)
+def test_roundtrip_residual_matches_the_grid_residual(symbol, lower_order, seed):
+    op = mp.PeriodicParabolicOperator(
+        symbol=symbol, L_x=2 * math.pi, tau=math.pi / 2, lower_order=lower_order
+    )
+    lat = sp.Lattice(k=symbol.n, n_x=8, n_t=32, L_x=2 * math.pi, L_t=2 * math.pi)
+    t = lat.t_axis()
+    bump = np.where((t >= 0) & (t <= op.tau), np.sin(2 * t) ** 2, 0.0)
+    f = sp.GridFunction(lat, sp.random_grid(lat, seed).samples * bump)
+    got = mp.roundtrip_residual(op, f)
+    assert got == pytest.approx(_grid_residual(op, f), rel=1e-13)
+
+
+def test_roundtrip_residual_stays_in_spatial_modes(heat_op, monkeypatch):
+    # one Duhamel recurrence, and u never returns to physical space
+    calls = []
+    duhamel = mp._duhamel_modes
+
+    def spy(*args):
+        calls.append(args[2])
+        return duhamel(*args)
+
+    def no_ifftn(*args, **kwargs):
+        raise AssertionError("roundtrip_residual took an inverse FFT")
+
+    lat = _lattice(8, 32)
+    f = mp.synthesize_forcing(lat, heat_op.tau, seed=7)
+    monkeypatch.setattr(mp, "_duhamel_modes", spy)
+    monkeypatch.setattr(np.fft, "ifftn", no_ifftn)
+    assert mp.roundtrip_residual(heat_op, f) > 0.0
+    assert calls == [slice(None)]
 
 
 def test_roundtrip_residual_second_order(heat_op):

@@ -38,3 +38,64 @@ def test_stderr_and_layout_differences_are_differences():
     old = {"code": 0, "out": '{"a": 1, "b": 2}', "err": ""}
     new = {"code": 0, "out": '{"b": 2, "a": 1}', "err": ""}
     assert rd.compare("c", old, new) == ["c: report text differs with equal fields"]
+
+
+class _Case:
+    def __init__(self, label, argv):
+        self.label, self.argv = label, argv
+
+
+class _Workloads:
+    """A stand-in for bench/workloads.py: two workloads of one case each."""
+
+    WORKLOADS = ("first", "second")
+
+    def __init__(self):
+        self.built = []
+
+    def build(self, name, seed, out_dir):
+        self.built.append((name, seed))
+        return [_Case(f"{name}[{seed}]", [name, str(seed)])]
+
+
+def _diff_main(monkeypatch, argv, changed=()):
+    fake = _Workloads()
+    monkeypatch.setitem(rd.sys.modules, "workloads", fake)
+    # main puts bench/ on the path; the copy is restored after the test
+    monkeypatch.setattr(rd.sys, "path", list(rd.sys.path))
+
+    def run_tree(src, argvs):
+        # the change tree reports another number on the argvs named in changed
+        moved = src.name == "change"
+        return [
+            _result({"x": 2.0 if moved and tuple(a) in changed else 1.0}) for a in argvs
+        ]
+
+    monkeypatch.setattr(rd, "run_tree", run_tree)
+    code = rd.main(["parent", "change"] + argv)
+    return code, fake.built
+
+
+def test_all_workloads_at_every_seed_in_one_command(monkeypatch, capsys):
+    code, built = _diff_main(monkeypatch, ["--workload", "all", "--seed", "7", "11"])
+    assert code == 0
+    assert built == [("first", 7), ("first", 11), ("second", 7), ("second", 11)]
+    assert capsys.readouterr().out.splitlines() == [
+        "first seed 7: 1 cases, 0 differences",
+        "first seed 11: 1 cases, 0 differences",
+        "second seed 7: 1 cases, 0 differences",
+        "second seed 11: 1 cases, 0 differences",
+    ]
+
+
+def test_one_difference_at_one_seed_fails_the_whole_run(monkeypatch, capsys):
+    code, built = _diff_main(
+        monkeypatch, ["--workload", "second", "--seed", "12", "13"], changed={("second", "13")}
+    )
+    assert code == 1
+    assert built == [("second", 12), ("second", 13)]
+    assert capsys.readouterr().out.splitlines() == [
+        "second seed 12: 1 cases, 0 differences",
+        "second[13]: x 1.0 -> 2.0  (rel 0.5)",
+        "second seed 13: 1 cases, 1 differences",
+    ]

@@ -107,6 +107,15 @@ def test_parseval_many_inputs(medium_lattice):
         assert sp.hnorm(g, idx) == pytest.approx(l2, rel=1e-12)
 
 
+@pytest.mark.parametrize("scale, s", [(1e200, 1.0), (1.0, 400.0)], ids=["power", "weight"])
+def test_hnorm_past_the_largest_float_is_refused(small_lattice, scale, s):
+    # the power spectrum or the weight overflows; the sum is refused and
+    # numpy warns nowhere (a warning is an error under pytest)
+    g = sp.GridFunction(small_lattice, scale * sp.random_grid(small_lattice, 3).samples)
+    with pytest.raises(ValueError, match="the weighted sum overflows double precision"):
+        sp.hnorm(g, sp.AnisotropicIndex(s, 0.5))
+
+
 def test_hnorm_zero_and_single_mode(small_lattice):
     idx = sp.AnisotropicIndex(1.3, 0.5, cm.log_power([1]))
     zero = sp.GridFunction(small_lattice, np.zeros(small_lattice.shape))

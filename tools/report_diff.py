@@ -1,14 +1,17 @@
-"""Compare the CLI reports of two source trees on one benchmark workload.
+"""Compare the CLI reports of two source trees on benchmark workloads.
 
-    python3 tools/report_diff.py PARENT_SRC CHANGE_SRC --workload W --seed S
+    python3 tools/report_diff.py PARENT_SRC CHANGE_SRC --workload W --seed S [S ...]
 
-PARENT_SRC and CHANGE_SRC are the ``src`` directories of two checkouts.  The
-workload's inputs are written once by ``bench/workloads.build`` (imported,
-never modified) into a temporary directory.  Each tree then runs every
-case's argv through ``hormspace.cli.main`` in one subprocess of its own.
-Every exit code, stderr text or report field that differs is printed, a
-numeric field with its relative size.  The exit status is 1 on any
-difference and 0 when every report is byte-identical.
+PARENT_SRC and CHANGE_SRC are the ``src`` directories of two checkouts.  W
+is one workload of ``bench/workloads.py`` or ``all`` for every one of them,
+and each is run at every seed S.  For each workload and seed, the inputs
+are written once by ``bench/workloads.build`` (imported, never modified)
+into a temporary directory.  Each tree then runs every case's argv through
+``hormspace.cli.main`` in one subprocess of its own.  Every exit code,
+stderr text or report field that differs is printed, a numeric field with
+its relative size, and then one summary line per workload and seed.  The
+exit status is 1 on any difference and 0 when every report is
+byte-identical.
 """
 
 from __future__ import annotations
@@ -94,28 +97,41 @@ def compare(label: str, old: dict, new: dict) -> list:
     return lines or [f"{label}: report text differs with equal fields"]
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("parent_src", type=Path)
-    ap.add_argument("change_src", type=Path)
-    ap.add_argument("--workload", required=True)
-    ap.add_argument("--seed", type=int, required=True)
-    args = ap.parse_args(argv)
-    sys.path.insert(0, str(ROOT / "bench"))
-    import workloads
-
+def diff_workload(workloads, parent_src: Path, change_src: Path, workload: str, seed: int) -> int:
+    """Print the differences of one workload at one seed and its summary
+    line; return the number of differences."""
     with tempfile.TemporaryDirectory(prefix="report_diff_") as tmp:
-        cases = workloads.build(args.workload, args.seed, Path(tmp))
+        cases = workloads.build(workload, seed, Path(tmp))
         argvs = [list(case.argv) for case in cases]
-        parent = run_tree(args.parent_src.resolve(), argvs)
-        change = run_tree(args.change_src.resolve(), argvs)
+        parent = run_tree(parent_src, argvs)
+        change = run_tree(change_src, argvs)
     lines = []
     for case, old, new in zip(cases, parent, change):
         lines += compare(case.label, old, new)
     for line in lines:
         print(line)
-    print(f"{args.workload} seed {args.seed}: {len(cases)} cases, {len(lines)} differences")
-    return 1 if lines else 0
+    print(f"{workload} seed {seed}: {len(cases)} cases, {len(lines)} differences")
+    return len(lines)
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("parent_src", type=Path)
+    ap.add_argument("change_src", type=Path)
+    ap.add_argument("--workload", required=True, help="a workload name, or all")
+    ap.add_argument("--seed", type=int, nargs="+", required=True)
+    args = ap.parse_args(argv)
+    sys.path.insert(0, str(ROOT / "bench"))
+    import workloads
+
+    names = workloads.WORKLOADS if args.workload == "all" else (args.workload,)
+    differences = 0
+    for name in names:
+        for seed in args.seed:
+            differences += diff_workload(
+                workloads, args.parent_src.resolve(), args.change_src.resolve(), name, seed
+            )
+    return 1 if differences else 0
 
 
 if __name__ == "__main__":
