@@ -570,7 +570,9 @@ def test_malformed_input_exits_2_without_traceback(capsys, tmp_path, case):
 
 # -- a generated search over malformed and extreme grid files ---------------
 
-_SHAPES = st.tuples(st.sampled_from([1, 2]), st.sampled_from([1, 2, 4]), st.sampled_from([1, 2, 4, 8]))
+_SHAPES = st.tuples(
+    st.sampled_from([1, 2]), st.sampled_from([1, 2, 4]), st.sampled_from([1, 2, 4, 8])
+)
 _BAD_INT = st.sampled_from([0, 3, 6, 64, 2**31, 2**32 - 1])
 _BAD_PERIOD = st.sampled_from([0.0, -1.0, math.nan, math.inf])
 
@@ -591,7 +593,9 @@ def _hgrd_bytes(draw):
         samples = (scale * rng.uniform(-1, 1, 2 * n)).astype("<f4").tobytes()
     masks = draw(st.binary(min_size=2 * ((n + 7) // 8), max_size=2 * ((n + 7) // 8)))
     masks = masks if draw(st.booleans()) else b""
-    change = draw(st.sampled_from(["none", "k", "n_x", "n_t", "L_x", "L_t", "cut", "extend", "mask"]))
+    change = draw(
+        st.sampled_from(["none", "k", "n_x", "n_t", "L_x", "L_t", "cut", "extend", "mask"])
+    )
     if change in ("k", "n_x", "n_t"):
         header[change] = draw(_BAD_INT)
     elif change in ("L_x", "L_t"):

@@ -244,8 +244,9 @@ def test_overflowing_interpolated_weight_is_refused():
     g = sp.random_grid(lat, 5)
     with pytest.raises(ValueError, match="the interpolated weight overflows double precision"):
         ip.verify_lemma71(g, 0.0, 1.0, 400.0, 0.5, cm.constant_one())
+    pair = ip.sobolev_pair(lat, 0.0, 400.0, 0.5)
     with pytest.raises(ValueError, match="the interpolated weight overflows double precision"):
-        ip.interp_norm(g, ip.sobolev_pair(lat, 0.0, 400.0, 0.5), ip.build_psi(0, 1, 400, cm.constant_one()))
+        ip.interp_norm(g, pair, ip.build_psi(0, 1, 400, cm.constant_one()))
 
 
 def test_interp_subspace_norm_zero(small_lattice):

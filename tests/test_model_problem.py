@@ -206,7 +206,8 @@ def _grid_residual(op, f):
     au = op.a_t * dudt / (12 * h) + spatial
     t = lat.t_axis()
     interior = (t > 0.0) & (t < op.tau)
-    return np.linalg.norm((au - f.samples)[..., interior]) / np.linalg.norm(f.samples[..., interior])
+    resid = (au - f.samples)[..., interior]
+    return np.linalg.norm(resid) / np.linalg.norm(f.samples[..., interior])
 
 
 def _mixed_symbol():
