@@ -298,16 +298,13 @@ def _cmd_model_verify(args) -> tuple[dict, int]:
     tau = args.tau_frac * lat.L_t
     op = model_problem.PeriodicParabolicOperator(symbol=A, L_x=lat.L_x, tau=tau)
     phi = _parse_phi(args.phi)
-    sigma, seed, n_ens = args.sigma, args.seed, args.ensemble
-
-    def ensemble(lattice):
-        # each member is the band of spatial modes its synthesize_forcing
-        # sample occupies, drawn one at a time; where the band lies is the
-        # lattice's, found once
-        layout = model_problem._band_layout(lattice, tau)
-        return (model_problem._forcing_modes(lattice, layout, seed + i) for i in range(n_ens))
-
-    c1, c2 = model_problem.two_sided_ratio(op, ensemble(lat), sigma, phi)
+    sigma, seed = args.sigma, args.seed
+    # each member is the band of spatial modes its synthesize_forcing sample
+    # occupies, drawn a block of members at a time
+    seeds = range(seed, seed + args.ensemble)
+    c1, c2 = model_problem.two_sided_ratio(
+        op, model_problem._forcing_blocks(lat, tau, seeds), sigma, phi
+    )
     # synthesize_forcing is deterministic: this is the ensemble's first member
     resid = model_problem.roundtrip_residual(
         op, model_problem.synthesize_forcing(lat, tau, seed)
@@ -321,7 +318,9 @@ def _cmd_model_verify(args) -> tuple[dict, int]:
     passed = math.isfinite(c1) and math.isfinite(c2) and c1 > 0
     if args.refine:
         lat2 = lat.refine(2, 2)
-        c1r, c2r = model_problem.two_sided_ratio(op, ensemble(lat2), sigma, phi)
+        c1r, c2r = model_problem.two_sided_ratio(
+            op, model_problem._forcing_blocks(lat2, tau, seeds), sigma, phi
+        )
         change = (c2r / c1r) / (c2 / c1)
         report["refined"] = {"c1_hat": c1r, "c2_hat": c2r, "spread_change": change}
         passed = passed and 0.5 < change < 2.0

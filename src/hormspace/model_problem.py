@@ -21,13 +21,21 @@ the ratio is taken in spatial modes, without returning to physical space,
 and only on the modes a forcing occupies.  A grid forcing occupies all of
 them after its one spatial transform; a synthesized forcing, made in modal
 form, occupies the band of at most 5**k modes |m| <= 2, and every other
-mode carries exactly zero.
+mode carries exactly zero.  Forcings on one band share their rows, so an
+ensemble of them is taken a block of members at a time: each step (the
+time transform, the Duhamel recurrence, the plus-norm blocks and the
+Parseval sums) acts on the whole block at once.  A block holds at most
+_BLOCK_VALUES = 2**15 complex mode values (512 KB; at least one member):
+enough members (40 at 16**2 x 32, 20 at 32**2 x 64) that the per-call cost
+of the small numpy steps is shared, and few enough that a block and its
+work arrays stay below the peak the rest of model-verify reaches, so that
+peak does not grow with the ensemble.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -145,25 +153,28 @@ def _phi12(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _check_forcing(op: PeriodicParabolicOperator, lat: Lattice, values: np.ndarray) -> None:
-    """The forcing must live on the operator's lattice and be supported in
-    0 <= t <= tau.  values are its samples or its spatial modes, time last:
-    a time slice vanishes in one form exactly when it does in the other."""
+    """Every forcing must live on the operator's lattice and be supported in
+    0 <= t <= tau.  values holds a block of forcings, shape (members, rows,
+    n_t): the samples or the spatial modes of each, time last (a time slice
+    vanishes in one form exactly when it does in the other).  Each member
+    is measured against its own largest value."""
     op._check_lattice(lat)
     t = lat.t_axis()
     outside = (t < 0.0) | (t > op.tau + 1e-12 * lat.L_t)
-    scale = float(np.max(np.abs(values))) if values.size else 0.0
-    if scale > 0:
-        off = float(np.max(np.abs(values[..., outside]), initial=0.0))
-        if off > 1e-12 * scale:
-            raise ValueError("forcing is not supported in 0 <= t <= tau")
+    size = np.abs(values)
+    scale = np.max(size, axis=(1, 2), initial=0.0)
+    off = np.max(size[..., outside], axis=(1, 2), initial=0.0)
+    if np.any(off > 1e-12 * scale):
+        raise ValueError("forcing is not supported in 0 <= t <= tau")
 
 
 @dataclass(frozen=True)
 class _ModalForcing:
-    """A forcing by its spatial modes (unitary DFT over the spatial axes):
-    row r of modes holds the n_t time samples of the mode at flat index
-    rows[r] (C order over the spatial axes), and every other mode is 0.
-    rows may be slice(None), all modes in order."""
+    """A block of forcings on the same rows by their spatial modes (unitary
+    DFT over the spatial axes): modes[i, r] holds the n_t time samples of
+    member i at the mode of flat index rows[r] (C order over the spatial
+    axes), and every other mode is 0.  rows may be slice(None), all modes
+    in order."""
 
     lattice: Lattice
     rows: np.ndarray | slice
@@ -172,19 +183,22 @@ class _ModalForcing:
     def __post_init__(self):
         lat = self.lattice
         n_rows = np.arange(lat.n_x**lat.k)[self.rows].size
-        if self.modes.shape != (n_rows, lat.n_t):
-            raise ValueError("modes must hold n_t time samples for each row")
+        if self.modes.ndim != 3 or self.modes.shape[1:] != (n_rows, lat.n_t):
+            raise ValueError("modes must hold n_t time samples for each row of each member")
+        if not len(self.modes):
+            raise ValueError("a block must hold at least one member")
         if not np.all(np.isfinite(self.modes)):
             raise ValueError("modes must be finite")
 
 
 def _spatial_modes(f: GridFunction | _ModalForcing) -> _ModalForcing:
-    """The forcing in modal form; a grid takes its one spatial transform."""
+    """The forcing in modal form; a grid takes its one spatial transform and
+    becomes a block of one."""
     if isinstance(f, _ModalForcing):
         return f
     lat = f.lattice
     fhat = np.fft.fftn(f.samples, axes=tuple(range(lat.k)), norm="ortho")
-    return _ModalForcing(lat, slice(None), fhat.reshape(-1, lat.n_t))
+    return _ModalForcing(lat, slice(None), fhat.reshape(1, -1, lat.n_t))
 
 
 def _duhamel_weights(op: PeriodicParabolicOperator, lat: Lattice) -> np.ndarray:
@@ -214,16 +228,16 @@ def _duhamel_modes(
     op: PeriodicParabolicOperator, weights: np.ndarray, rows, fhat: np.ndarray, stop: int
 ) -> np.ndarray:
     """Duhamel solution on the spatial modes rows (flat indices, or
-    slice(None) for all) from the modes fhat of a supported forcing there,
-    one row of n_t time samples each; weights are _duhamel_weights of the
-    lattice.  The recurrence runs from t = 0 (index n_t // 2) up to the time
-    index stop, exclusive; every mode is exactly 0 for t <= 0 and from stop
-    on."""
+    slice(None) for all) from the modes fhat of supported forcings there,
+    shape (..., rows, n_t): any leading axes are members, each step acts on
+    all of them; weights are _duhamel_weights of the lattice.  The
+    recurrence runs from t = 0 (index n_t // 2) up to the time index stop,
+    exclusive; every mode is exactly 0 for t <= 0 and from stop on."""
     ez, w_left, w_right = weights[:, rows]
     modes = fhat / op.a_t
     u = np.zeros_like(modes)
     for j in range(modes.shape[-1] // 2, stop - 1):
-        u[:, j + 1] = ez * u[:, j] + w_left * modes[:, j] + w_right * modes[:, j + 1]
+        u[..., j + 1] = ez * u[..., j] + w_left * modes[..., j] + w_right * modes[..., j + 1]
     return u
 
 
@@ -234,7 +248,7 @@ def solve_periodic(op: PeriodicParabolicOperator, f: GridFunction) -> GridFuncti
     if any mode has Re lambda < 0 (a genuinely growing mode).
     """
     lat = f.lattice
-    _check_forcing(op, lat, f.samples)
+    _check_forcing(op, lat, f.samples.reshape(1, -1, lat.n_t))
     f = _spatial_modes(f)
     u = _duhamel_modes(op, _duhamel_weights(op, lat), f.rows, f.modes, lat.n_t)
     u = np.fft.ifftn(u.reshape(lat.shape), axes=tuple(range(lat.k)), norm="ortho")
@@ -252,7 +266,7 @@ def roundtrip_residual(op: PeriodicParabolicOperator, f: GridFunction) -> float:
     error of the residual evaluator itself.
     """
     lat = f.lattice
-    _check_forcing(op, lat, f.samples)
+    _check_forcing(op, lat, f.samples.reshape(1, -1, lat.n_t))
     f_modes = _spatial_modes(f).modes
     u = _duhamel_modes(op, _duhamel_weights(op, lat), slice(None), f_modes, lat.n_t)
     dudt = (-np.roll(u, -2, axis=-1) + 8 * np.roll(u, -1, axis=-1) - 8 * np.roll(u, 1, axis=-1)
@@ -263,7 +277,7 @@ def roundtrip_residual(op: PeriodicParabolicOperator, f: GridFunction) -> float:
     denom = float(np.linalg.norm(f.samples[..., interior].ravel()))
     if denom == 0.0:
         raise ValueError("forcing vanishes on the window")
-    return float(np.linalg.norm((au - f_modes)[:, interior].ravel())) / denom
+    return float(np.linalg.norm((au - f_modes)[..., interior].ravel())) / denom
 
 
 def two_sided_ratio(
@@ -276,18 +290,25 @@ def two_sided_ratio(
 
     Finite, stable bounds certify the two-sided a priori estimate on the
     lattice.  Requires sigma > 2m and a nondegenerate ensemble.  The
-    ensemble may be any iterable, a generator included.  Each member is
-    read once, in order, and the next one is drawn only after the current
-    one's ratio is taken, so a generator keeps one member in memory at a
-    time (besides the one it is making).  The lattice, the plus-norm solver,
-    the forcing weight and the Duhamel weights come from the first member.
-    A member is a GridFunction, which takes one spatial transform and then
-    occupies every spatial mode, or a _ModalForcing, a forcing's spatial
-    modes on the rows it occupies (model-verify passes the band of each
-    synthesized forcing that way).  A spatial mode off those rows stays
-    exactly zero through the Duhamel solve and its own plus-norm block, so
-    the forcing norm, the Duhamel modes and the plus-norm blocks are taken
-    on the rows alone.  Up to rounding this equals solve_periodic, then
+    ensemble may be any iterable, a generator included, of blocks of
+    members.  A GridFunction is a block of one, which takes one spatial
+    transform and then occupies every spatial mode; a _ModalForcing is a
+    block of forcings by their spatial modes on the rows they share
+    (model-verify passes the bands of its synthesized forcings that way,
+    _BLOCK_VALUES mode values a block).  Each block is read once, in
+    order, and the next one is drawn only after the current one's ratios
+    are taken, so a generator keeps one block in memory at a time (besides
+    the one it is making).  Every step acts on the whole block: one time
+    transform, one Duhamel recurrence, one plus-norm minimisation and one
+    Parseval sum each for the forcing and the solution norms, which return
+    a norm per member.  Each member is refused on its own terms (its
+    support against its own scale, a zero forcing), so the ratios do not
+    depend on how the ensemble is cut into blocks.  The lattice, the
+    plus-norm solver, the forcing weight and the Duhamel weights come from
+    the first block.  A spatial mode off a block's rows stays exactly zero
+    through the Duhamel solve and its own plus-norm block, so the forcing
+    norm, the Duhamel modes and the plus-norm blocks are taken on the rows
+    alone.  Up to rounding this equals solve_periodic, then
     PlusNormSolver.solve, over hnorm of f, with the same refusals; the
     stability refusal covers every mode of the lattice, not only the rows.
     """
@@ -296,8 +317,8 @@ def two_sided_ratio(
     order = 2 * op.symbol.m
     if not sigma > order:
         raise ValueError(f"need sigma > {order}")
-    members = iter(ensemble)
-    f = next(members, None)
+    blocks = iter(ensemble)
+    f = next(blocks, None)
     if f is None:
         raise ValueError("ensemble must be nonempty")
     lat = f.lattice
@@ -323,12 +344,13 @@ def two_sided_ratio(
         _check_forcing(op, lat, f.modes)
         coeffs = np.fft.fft(f.modes, axis=-1, norm="ortho")
         fn = _parseval_norm(lat, w2_f[f.rows], np.abs(coeffs) ** 2)
-        if fn == 0.0:
+        if not np.all(fn > 0.0):
             raise ValueError("ensemble contains a zero forcing; ratio undefined")
         u = _duhamel_modes(op, weights, f.rows, f.modes, stop)
         ratios.append(solver._minimise(u, f.rows) / fn)
-        f = next(members, None)
-    return float(min(ratios)), float(max(ratios))
+        f = next(blocks, None)
+    ratios = np.concatenate(ratios)
+    return float(ratios.min()), float(ratios.max())
 
 
 def _time_bump(lattice: Lattice, tau: float) -> np.ndarray:
@@ -362,17 +384,20 @@ def _band_layout(lattice: Lattice, tau: float) -> _BandLayout:
     return _BandLayout(rows, (slot[..., None], m % lattice.n_t), _time_bump(lattice, tau) * 54.6)
 
 
-def _forcing_band(lattice: Lattice, layout: _BandLayout, seed: int) -> np.ndarray:
-    """A synthesized forcing's unscaled spatial modes on the rows of its
-    band: the seeded coefficients of mode numbers |m| <= 2 on every axis,
-    inverse transformed along time."""
-    rng = np.random.default_rng(seed)
+def _forcing_band(lattice: Lattice, layout: _BandLayout, seeds) -> np.ndarray:
+    """Synthesized forcings' unscaled spatial modes on the rows of their
+    band, one member per seed, shape (seeds, rows, n_t): each seed's
+    coefficients of mode numbers |m| <= 2 on every axis, drawn from its own
+    generator, and one inverse transform along time for the block."""
     width = (5,) * (lattice.k + 1)
-    coeff = rng.standard_normal(width) + 1j * rng.standard_normal(width)
-    bins = np.zeros((layout.rows.size, lattice.n_t), dtype=complex)
-    # (-1)**m_t aligns the index transform with the centered time window;
-    # where modes alias (n < 5) the last mode in C order wins
-    bins[layout.where] = coeff * (-1.0) ** np.arange(-2, 3)
+    bins = np.zeros((len(seeds), layout.rows.size, lattice.n_t), dtype=complex)
+    sign = (-1.0) ** np.arange(-2, 3)
+    for member, seed in zip(bins, seeds):
+        rng = np.random.default_rng(seed)
+        coeff = rng.standard_normal(width) + 1j * rng.standard_normal(width)
+        # (-1)**m_t aligns the index transform with the centered time
+        # window; where modes alias (n < 5) the last mode in C order wins
+        member[layout.where] = coeff * sign
     return np.fft.ifft(bins, axis=-1, norm="ortho")
 
 
@@ -381,13 +406,27 @@ def _scale_forcing(values: np.ndarray, lattice: Lattice, layout: _BandLayout) ->
     return values * math.sqrt(lattice.size) * layout.bump
 
 
-def _forcing_modes(lattice: Lattice, layout: _BandLayout, seed: int) -> _ModalForcing:
-    """synthesize_forcing(lattice, tau, seed) in modal form, for layout =
-    _band_layout(lattice, tau): its spatial modes on the at most 5**k rows
-    of its band, equal to the spatial transform of its samples up to
-    rounding."""
-    modes = _scale_forcing(_forcing_band(lattice, layout, seed), lattice, layout)
+def _forcing_modes(lattice: Lattice, layout: _BandLayout, seeds) -> _ModalForcing:
+    """synthesize_forcing(lattice, tau, seed) for each of seeds in modal
+    form, one block, for layout = _band_layout(lattice, tau): their spatial
+    modes on the at most 5**k rows of the band, equal to the spatial
+    transform of their samples up to rounding."""
+    modes = _scale_forcing(_forcing_band(lattice, layout, seeds), lattice, layout)
     return _ModalForcing(lattice, layout.rows, modes)
+
+
+# the most complex mode values in one block of synthesized forcings (512 KB)
+_BLOCK_VALUES = 2**15
+
+
+def _forcing_blocks(lattice: Lattice, tau: float, seeds: range) -> Iterator[_ModalForcing]:
+    """The synthesized forcings of seeds in modal form, drawn a block at a
+    time: as many members as fit in _BLOCK_VALUES mode values, at least
+    one.  Where the band lies is the lattice's, found once."""
+    layout = _band_layout(lattice, tau)
+    size = max(1, _BLOCK_VALUES // (layout.rows.size * lattice.n_t))
+    for start in range(0, len(seeds), size):
+        yield _forcing_modes(lattice, layout, seeds[start : start + size])
 
 
 def synthesize_forcing(lattice: Lattice, tau: float, seed: int) -> GridFunction:
@@ -399,7 +438,7 @@ def synthesize_forcing(lattice: Lattice, tau: float, seed: int) -> GridFunction:
     """
     layout = _band_layout(lattice, tau)
     bins = np.zeros(lattice.shape, dtype=complex)
-    bins.reshape(-1, lattice.n_t)[layout.rows] = _forcing_band(lattice, layout, seed)
+    bins.reshape(-1, lattice.n_t)[layout.rows] = _forcing_band(lattice, layout, [seed])[0]
     field = np.fft.ifftn(bins, axes=tuple(range(lattice.k)), norm="ortho")
     return GridFunction(lattice, _scale_forcing(field, lattice, layout))
 

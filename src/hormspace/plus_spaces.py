@@ -135,11 +135,12 @@ class PlusNormSolver:
     exact largest one.  Every solve, slab or general, takes two batched
     real matrix products.  `solve` is `_expand` (the checked data on V,
     zero elsewhere), the outer transform along the spatial axes of a slab,
-    `_minimise` over every block (the block solve and the energy) and the
-    inverse outer transform of the extension.  Data of a slab that is
-    already in spatial modes and occupies only some of them, where only the
-    norm is needed, goes to `_minimise` with those rows alone: a block
-    whose data vanishes has the zero minimiser.  An exact condition number
+    `_minimise` over every block of its one member (the block solve and
+    the energy) and the inverse outer transform of the extension.  Data of
+    a slab that is already in spatial modes and occupies only some of
+    them, where only the norms are needed, goes to `_minimise` with those
+    rows alone, many members at once: a block whose data vanishes has the
+    zero minimiser.  An exact condition number
     above 1e12, or a failed factorization (infinite), raises
     ConditioningError, whose message says which: the answer is refused
     rather than regularised.
@@ -156,7 +157,7 @@ class PlusNormSolver:
         )
         self.outer_axes = tuple(range(lat.k)) if self.slab else ()
         block_shape = lat.shape[len(self.outer_axes) :]
-        self.block_axes = tuple(range(1, len(block_shape) + 1))
+        self.block_axes = tuple(range(-len(block_shape), 0))
         with np.errstate(over="ignore"):
             self.w2 = (weight_array(lat, idx) ** 2).reshape((-1,) + block_shape)
         n_blocks = len(self.w2)
@@ -194,30 +195,32 @@ class PlusNormSolver:
 
     def solve(self, u_on_v) -> PlusNormResult:
         w = np.fft.fftn(self._expand(u_on_v), axes=self.outer_axes, norm="ortho")
-        norm = self._minimise(w.reshape(len(self.w2), -1), slice(None))
+        norm = self._minimise(w.reshape(1, len(self.w2), -1), slice(None))
         w = np.fft.ifftn(w, axes=self.outer_axes, norm="ortho")
-        return PlusNormResult(norm, GridFunction(self.lattice, w))
+        return PlusNormResult(float(norm[0]), GridFunction(self.lattice, w))
 
-    def _minimise(self, blocks: np.ndarray, rows) -> float:
-        """Plus norm of data that lives on the blocks rows (indices into the
-        blocks, or slice(None) for all of them) and vanishes on every other
-        block.  blocks holds one flattened block per row, after the outer
-        transform and zero on the free set; the minimiser's values are
-        written into its free set in place."""
+    def _minimise(self, blocks: np.ndarray, rows) -> np.ndarray:
+        """Plus norms of members whose data lives on the blocks rows
+        (indices into the blocks, or slice(None) for all of them) and
+        vanishes on every other block, one norm per member.  blocks has
+        shape (members, rows, block size): each member's flattened blocks,
+        after the outer transform and zero on the free set; the minimisers'
+        values are written into their free sets in place."""
         w2 = self.w2[rows]
         axes = self.block_axes
-        coeffs = np.fft.fftn(blocks.reshape(w2.shape), axes=axes, norm="ortho")
+        shape = blocks.shape[:1] + w2.shape
+        coeffs = np.fft.fftn(blocks.reshape(shape), axes=axes, norm="ortho")
         m_fix = np.fft.ifftn(w2 * coeffs, axes=axes, norm="ortho").reshape(blocks.shape)
         # real and imaginary parts as two real columns, so Q stays real
-        rhs = m_fix[:, self.free]
+        rhs = m_fix[..., self.free]
         rhs = np.stack((rhs.real, rhs.imag), axis=-1)
-        # a block shared by every row (a general region, or s = 0) is
-        # broadcast, not copied once per row
+        # one gather per call, broadcast over the members; a block shared by
+        # every row (a general region, or s = 0) is broadcast, not copied
         cls = slice(None) if len(self.Q) == 1 else self.cls[rows]
         q = self.Q[cls]
         x = q @ (q.transpose(0, 2, 1) @ rhs)
-        blocks[:, self.free] = -(x[..., 0] + 1j * x[..., 1])
-        coeffs = np.fft.fftn(blocks.reshape(w2.shape), axes=axes, norm="ortho")
+        blocks[..., self.free] = -(x[..., 0] + 1j * x[..., 1])
+        coeffs = np.fft.fftn(blocks.reshape(shape), axes=axes, norm="ortho")
         return _parseval_norm(self.lattice, w2, np.abs(coeffs) ** 2)
 
     def _expand(self, u_on_v) -> np.ndarray:

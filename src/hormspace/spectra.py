@@ -89,6 +89,21 @@ class Lattice:
             raise ValueError("n_x and n_t must be powers of two")
         if not (0.0 < self.L_x < math.inf and 0.0 < self.L_t < math.inf):
             raise ValueError("periods must be finite and positive")
+        # every weighted sum multiplies by the cell volume, and r_gamma**2 at
+        # gamma = 1 reaches 1 + k xi**2 + eta**2 at the largest frequencies;
+        # a float product overflows to inf where a float power raises
+        xi = 2.0 * math.pi / self.L_x * (self.n_x // 2)
+        eta = 2.0 * math.pi / self.L_t * (self.n_t // 2)
+        try:
+            cell = self.cell_volume
+        except OverflowError:
+            cell = math.inf
+        if not max(cell, self.k * xi * xi + eta * eta) < math.inf:
+            raise ValueError(
+                f"periods L_x = {self.L_x:g} and L_t = {self.L_t:g} are too small for "
+                f"k = {self.k}: the frequency cell or the largest squared frequency "
+                "overflows double precision"
+            )
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -236,11 +251,16 @@ def _finite(x, what: str):
     return x
 
 
-def _parseval_norm(lattice: Lattice, w2: np.ndarray, power: np.ndarray) -> float:
+def _parseval_norm(lattice: Lattice, w2: np.ndarray, power: np.ndarray):
     """(sum w2 power cell_volume)**(1/2), refused unless finite, for a squared
-    weight w2 and the power |coeff|**2 of a unitary DFT, both whole-lattice or both folded."""
+    weight w2 and the power |coeff|**2 of a unitary DFT, both whole-lattice or
+    both folded.  power may carry leading member axes before w2's shape: the
+    sum runs over w2's axes, and one norm is returned per member (a float
+    when there is no member axis)."""
+    axes = tuple(range(-w2.ndim, 0))
     with np.errstate(over="ignore", invalid="ignore"):
-        return _finite(math.sqrt(float(np.sum(w2 * power)) * lattice.cell_volume), "weighted sum")
+        norm = np.sqrt(np.sum(w2 * power, axis=axes) * lattice.cell_volume)
+    return _finite(norm, "weighted sum")
 
 
 def hnorm(g: GridFunction, idx: AnisotropicIndex) -> float:

@@ -724,27 +724,34 @@ def test_embed_check_radial_in_one_and_four_dimensions(capsys, n):
 
 
 def test_model_verify_holds_one_forcing_at_a_time(capsys, heat_file, monkeypatch):
-    # each ensemble is drawn member by member: when a member is made, at most
-    # the one before it is still alive, whatever the ensemble size
+    # each ensemble is drawn a block of members at a time: when a block is
+    # made, at most the one before it is still alive, and no block holds more
+    # than the budget's mode values, whatever the ensemble size
     made = []
     alive_at_call = []
-    make_member = model_problem._forcing_modes
+    make_block = model_problem._forcing_modes
 
-    def tracked(lattice, layout, seed):
+    def tracked(lattice, layout, seeds):
         alive_at_call.append(sum(ref() is not None for ref in made))
-        f = make_member(lattice, layout, seed)
+        f = make_block(lattice, layout, seeds)
         made.append(weakref.ref(f))
+        assert f.modes.size <= model_problem._BLOCK_VALUES
         return f
 
     monkeypatch.setattr(model_problem, "_forcing_modes", tracked)
-    code, _ = run_cli(
-        capsys,
-        ["model-verify", heat_file, "--sigma", "4", "--ensemble", "6", "--refine", "1",
-         "--lattice", "8x8x16", "--levels", "1"],
-    )
-    assert code == 0
-    assert len(alive_at_call) >= 12
-    assert max(alive_at_call) <= 1, alive_at_call
+    # 400 mode values a member at 8x8x16 and 800 at 16x16x32: one block per
+    # lattice at --ensemble 6, 2 + 3 blocks at 100
+    for n_ens, n_blocks in ((6, 2), (100, 5)):
+        made.clear()
+        alive_at_call.clear()
+        code, _ = run_cli(
+            capsys,
+            ["model-verify", heat_file, "--sigma", "4", "--ensemble", str(n_ens), "--refine", "1",
+             "--lattice", "8x8x16", "--levels", "1"],
+        )
+        assert code == 0
+        assert len(alive_at_call) == n_blocks
+        assert max(alive_at_call) <= 1, alive_at_call
 
 
 def test_norms_build_no_whole_lattice_weight(monkeypatch, capsys, grid_file):
@@ -925,3 +932,24 @@ def test_finite_norm_with_large_weights_is_not_refused(capsys, overflow_grids, a
     assert report["hnorm"] == sp.hnorm(g, sp.AnisotropicIndex(float(argv[1]), 0.5))
     assert math.isfinite(report["hnorm"])
     assert report.get("embedding_constants") == embedding
+
+
+@pytest.mark.parametrize(
+    "k, n_x, n_t, L_x, L_t",
+    [(63, 1, 2, 1e-5, 1.0), (1, 4, 4, 1e-300, 1e-300)],
+    ids=["cell-volume", "squared-frequency"],
+)
+def test_periods_too_small_for_double_precision_are_refused(capsys, tmp_path, k, n_x, n_t, L_x, L_t):
+    # the first once raised OverflowError out of main from the cell volume,
+    # the second warned in r_gamma's squared frequency
+    path = tmp_path / "tiny.hgrd"
+    path.write_bytes(gridio._HEADER.pack(b"HGRD", k, n_x, n_t, L_x, L_t) + bytes(8 * n_x**k * n_t))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["norm", str(path), "--s", "1", "--gamma", "0.5"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: periods ")
+    assert captured.err.endswith(" overflows double precision\n")
+    assert len(captured.err.splitlines()) == 1

@@ -397,8 +397,9 @@ def test_two_sided_ratio_refuses_forcing_before_zero(heat_op):
 )
 def test_two_sided_ratio_recurrence_stops_at_the_window(monkeypatch, n_t, tau_frac, stop):
     # the ratio reads u on 0 < t < tau only: its recurrence stops at the first
-    # sample at or after tau (t = tau exactly when tau_frac = 1/4), so u is
-    # the full recurrence there, bit for bit, and exactly 0 everywhere else
+    # sample at or after tau (t = tau exactly when tau_frac = 1/4), so each
+    # block's u is the full recurrence there, bit for bit, and exactly 0
+    # everywhere else
     lat = sp.Lattice(k=2, n_x=8, n_t=n_t, L_x=2 * math.pi, L_t=2 * math.pi)
     op = mp.PeriodicParabolicOperator(
         symbol=heat_symbol(), L_x=2 * math.pi, tau=tau_frac * lat.L_t
@@ -413,25 +414,27 @@ def test_two_sided_ratio_recurrence_stops_at_the_window(monkeypatch, n_t, tau_fr
 
     monkeypatch.setattr(mp, "_duhamel_modes", spy)
     layout = mp._band_layout(lat, op.tau)
-    members = [mp._forcing_modes(lat, layout, seed) for seed in range(2)]
-    mp.two_sided_ratio(op, members, 4.0)
+    blocks = [mp._forcing_modes(lat, layout, seeds) for seeds in (range(2), range(2, 5))]
+    mp.two_sided_ratio(op, blocks, 4.0)
     weights = mp._duhamel_weights(op, lat)
     t = lat.t_axis()
     window = (t > 0.0) & (t < op.tau)
     assert [s for s, _ in seen] == [stop, stop]
     # one step per window sample: 15 of the 31 steps to L_t/2 at n_t = 64
     assert stop - 1 - n_t // 2 == np.count_nonzero(window)
-    for f, (_, u) in zip(members, seen):
+    for f, (_, u) in zip(blocks, seen):
         full = duhamel(op, weights, f.rows, f.modes, n_t)
-        assert np.array_equal(u[:, window], full[:, window])
-        assert np.all(full[:, window][:, -1] != 0.0)
-        assert not np.any(u[:, ~window])
+        assert u.shape == f.modes.shape
+        assert np.array_equal(u[..., window], full[..., window])
+        assert np.all(full[..., window][..., -1] != 0.0)
+        assert not np.any(u[..., ~window])
 
 
 def test_two_sided_ratio_transform_passes_per_member(heat_op, monkeypatch):
-    # per member: the spatial transform of f, the time transform for its
-    # norm, and the three block passes of the plus norm; no inverse
-    # transform over a spatial axis (the solution stays in spatial modes)
+    # per block: the spatial transform of a grid member (a block of one),
+    # the time transform for the norms, and the three block passes of the
+    # plus norm, however many members the block holds; no inverse transform
+    # over a spatial axis (the solution stays in spatial modes)
     passes = []
 
     def counting(name, fn):
@@ -461,6 +464,17 @@ def test_two_sided_ratio_transform_passes_per_member(heat_op, monkeypatch):
     n_axis_passes = sum(len(axes) for _, _, axes in per_member) // 2
     assert n_axis_passes <= 6
     for name, ndim, axes in per_member:
+        if name.startswith("i"):
+            assert axes == [ndim - 1], (name, ndim, axes)
+    layout = mp._band_layout(lat, heat_op.tau)
+    blocks = [mp._forcing_modes(lat, layout, range(size)) for size in (1, 3)]
+    counts = []
+    for block in blocks:
+        passes.clear()
+        mp.two_sided_ratio(heat_op, [block], 4.0)
+        counts.append(list(passes))
+    assert counts[0] == counts[1]
+    for name, ndim, axes in counts[1]:
         if name.startswith("i"):
             assert axes == [ndim - 1], (name, ndim, axes)
 
@@ -545,13 +559,13 @@ def test_modal_members_match_grid_members_and_public_steps(k, n_x, n_t):
     seeds = range(3)
     grids = [mp.synthesize_forcing(lat, op.tau, seed) for seed in seeds]
     layout = mp._band_layout(lat, op.tau)
-    for seed, f in zip(seeds, grids):
-        m = mp._forcing_modes(lat, layout, seed)
-        assert m.modes.shape == (min(n_x, 5) ** k, n_t)
+    block = mp._forcing_modes(lat, layout, seeds)
+    assert block.modes.shape == (len(seeds), min(n_x, 5) ** k, n_t)
+    for modes, f in zip(block.modes, grids):
         fhat = np.fft.fftn(f.samples, axes=tuple(range(k)), norm="ortho").reshape(-1, n_t)
-        np.testing.assert_allclose(m.modes, fhat[m.rows], rtol=0, atol=1e-13 * np.abs(fhat).max())
-        assert np.abs(np.delete(fhat, m.rows, axis=0)).max(initial=0.0) <= 1e-13 * np.abs(fhat).max()
-    modal = mp.two_sided_ratio(op, (mp._forcing_modes(lat, layout, s) for s in seeds), 4.0, phi)
+        np.testing.assert_allclose(modes, fhat[block.rows], rtol=0, atol=1e-13 * np.abs(fhat).max())
+        assert np.abs(np.delete(fhat, block.rows, axis=0)).max(initial=0.0) <= 1e-13 * np.abs(fhat).max()
+    modal = mp.two_sided_ratio(op, [block], 4.0, phi)
     grid = mp.two_sided_ratio(op, grids, 4.0, phi)
     public = [_ratio_by_public_steps(op, f, 4.0, phi) for f in grids]
     assert modal == pytest.approx(grid, rel=1e-13)
@@ -563,7 +577,7 @@ def test_modal_member_without_samples_in_the_window_is_refused_like_its_grid(k):
     # at n_t = 2 no time sample lies inside (0, tau): both forms are zero
     op = _window_op(k)
     lat = sp.Lattice(k=k, n_x=4, n_t=2, L_x=2 * math.pi, L_t=2 * math.pi)
-    modal = mp._forcing_modes(lat, mp._band_layout(lat, op.tau), 0)
+    modal = mp._forcing_modes(lat, mp._band_layout(lat, op.tau), [0])
     for member in (modal, mp.synthesize_forcing(lat, op.tau, 0)):
         with pytest.raises(ValueError, match="zero forcing"):
             mp.two_sided_ratio(op, [member], 4.0)
@@ -571,8 +585,8 @@ def test_modal_member_without_samples_in_the_window_is_refused_like_its_grid(k):
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_modal_member_transforms_touch_only_its_band(k, monkeypatch):
-    # per member, every transform (making the band, its norm, its plus-norm
-    # blocks) stays on the 5**k occupied rows; the lattice has 8**k
+    # every transform of a block (making the band, the norms, the plus-norm
+    # blocks) stays on the members' 5**k occupied rows; the lattice has 8**k
     sizes = []
 
     def spying(fn):
@@ -587,18 +601,17 @@ def test_modal_member_transforms_touch_only_its_band(k, monkeypatch):
     op = _heat_op(k)
     lat = sp.Lattice(k=k, n_x=8, n_t=16, L_x=2 * math.pi, L_t=2 * math.pi)
     layout = mp._band_layout(lat, op.tau)
-    counts = []
-    for size in (1, 3):
+    for members in (1, 3):
         sizes.clear()
-        mp.two_sided_ratio(op, (mp._forcing_modes(lat, layout, s) for s in range(size)), 4.0)
-        counts.append(list(sizes))
-    per_member = counts[1][len(counts[0]):]
-    assert per_member
-    assert max(per_member) <= 5**k * lat.n_t < lat.size
+        mp.two_sided_ratio(op, (mp._forcing_modes(lat, layout, range(members)),), 4.0)
+        assert sizes
+        assert max(sizes) <= members * 5**k * lat.n_t
+    assert 5**k * lat.n_t < lat.size
 
 
 def _modal_member(lat, rows, modes):
-    return mp._ModalForcing(lat, np.asarray(rows), np.asarray(modes, dtype=complex))
+    """A block of one member."""
+    return mp._ModalForcing(lat, np.asarray(rows), np.asarray(modes, dtype=complex)[None])
 
 
 def test_hand_built_modal_members_are_refused(heat_op):
@@ -625,8 +638,61 @@ def test_hand_built_modal_members_are_refused(heat_op):
     with pytest.raises(StabilityError) as info:
         mp.two_sided_ratio(shifted, [away], 4.0)
     assert info.value.lam == pytest.approx(-1.0)
-    # malformed modes
+    # malformed modes: a row short, no member axis, no member
     with pytest.raises(ValueError, match="n_t time samples"):
         _modal_member(lat, [0, 9], bump[None])
+    with pytest.raises(ValueError, match="n_t time samples"):
+        mp._ModalForcing(lat, np.asarray([9]), bump[None].astype(complex))
+    with pytest.raises(ValueError, match="at least one member"):
+        mp._ModalForcing(lat, np.asarray([9]), np.zeros((0, 1, lat.n_t), dtype=complex))
     with pytest.raises(ValueError, match="finite"):
         _modal_member(lat, [9], np.full((1, lat.n_t), np.nan))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_ensemble_ratios_do_not_depend_on_the_block_size(k, monkeypatch):
+    # blocks of 1, of 7 (7 + 7 + 6) and of the budget (all 20 in one at
+    # k = 1, 2; 16 + 4 at k = 3)
+    op = _heat_op(k)
+    lat = sp.Lattice(k=k, n_x=8, n_t=16, L_x=2 * math.pi, L_t=2 * math.pi)
+    phi = cm.log_power([1])
+    seeds = range(20)
+    band = 5**k * lat.n_t
+    got = []
+    budget = mp._BLOCK_VALUES
+    for values in (1, 7 * band, budget):
+        monkeypatch.setattr(mp, "_BLOCK_VALUES", values)
+        blocks = list(mp._forcing_blocks(lat, op.tau, seeds))
+        assert sum(len(b.modes) for b in blocks) == len(seeds)
+        got.append(mp.two_sided_ratio(op, iter(blocks), 4.0, phi))
+    assert len(blocks[0].modes) == min(20, budget // band)
+    assert got[0] == got[1] == got[2]
+    public = [_ratio_by_public_steps(op, mp.synthesize_forcing(lat, op.tau, s), 4.0, phi)
+              for s in seeds]
+    assert got[0] == pytest.approx((min(public), max(public)), rel=1e-13)
+
+
+def test_each_member_of_a_block_is_refused_on_its_own_terms(heat_op):
+    lat = _lattice(8, 16)
+    layout = mp._band_layout(lat, heat_op.tau)
+    good = mp._forcing_modes(lat, layout, range(3)).modes
+
+    def block(modes):
+        return mp._ModalForcing(lat, layout.rows, np.asarray(modes))
+
+    assert mp.two_sided_ratio(heat_op, [block(good)], 4.0)[0] > 0
+    # a zero member between two good ones
+    with pytest.raises(ValueError, match="zero forcing"):
+        mp.two_sided_ratio(heat_op, [block(np.stack((good[0], 0 * good[1], good[2])))], 4.0)
+    # an off-window part of 1e-6 of its own scale, next to a member 1e10 larger
+    # whose scale would hide it
+    early = good[1].copy()
+    early[:, 0] = 1e-6 * np.abs(early).max()
+    loud = 1e10 * good[0]
+    assert mp.two_sided_ratio(heat_op, [block(loud[None])], 4.0)[0] > 0
+    for modes in (early[None], np.stack((loud, early)), np.stack((early, loud))):
+        with pytest.raises(ValueError, match="not supported"):
+            mp.two_sided_ratio(heat_op, [block(modes)], 4.0)
+    # a non-finite member cannot be put into a block
+    with pytest.raises(ValueError, match="finite"):
+        block(np.stack((good[0], np.full_like(good[1], np.nan), good[2])))

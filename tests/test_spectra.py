@@ -62,6 +62,19 @@ def test_lattice_refuses_non_finite_periods(bad):
         sp.Lattice(k=1, n_x=8, n_t=8, L_x=1.0, L_t=bad)
 
 
+@pytest.mark.parametrize(
+    "k, n_x, n_t, L_x, L_t, factor",
+    [(63, 1, 1, 1e-5, 1.0, 10.0), (1, 2**20, 1, 1e-148, 1.0, 1e8), (1, 1, 4, 1.0, 1e-300, 1e150)],
+    ids=["cell-volume", "xi-squared", "eta-squared"],
+)
+def test_lattice_refuses_periods_whose_frequencies_overflow(k, n_x, n_t, L_x, L_t, factor):
+    # each case overflows in one of the three alone, and not at periods
+    # factor times longer
+    with pytest.raises(ValueError, match="overflows double precision"):
+        sp.Lattice(k=k, n_x=n_x, n_t=n_t, L_x=L_x, L_t=L_t)
+    sp.Lattice(k=k, n_x=n_x, n_t=n_t, L_x=factor * L_x, L_t=factor * L_t)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_index_refuses_non_finite_s_and_gamma(bad):
     # gamma <= 0 is False for nan, so a nan index once gave a nan norm
