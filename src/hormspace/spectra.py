@@ -22,7 +22,8 @@ Conventions used throughout the package:
   an even array over the whole lattice from its folded quadrant alone;
   `_fold`, the adjoint of `_unfold`, folds a power spectrum onto it.
 * Every weighted norm is the Parseval sum `_parseval_norm` of w**2 against
-  |coeff|**2, both whole-lattice or both folded (equal up to rounding).
+  |coeff|**2, both whole-lattice or both folded (equal up to rounding), or
+  against a stack of members' |coeff|**2, one norm per member.
 """
 
 from __future__ import annotations
@@ -260,7 +261,7 @@ def _parseval_norm(lattice: Lattice, w2: np.ndarray, power: np.ndarray):
     axes = tuple(range(-w2.ndim, 0))
     with np.errstate(over="ignore", invalid="ignore"):
         norm = np.sqrt(np.sum(w2 * power, axis=axes) * lattice.cell_volume)
-    return _finite(norm, "weighted sum")
+    return _finite(norm if norm.ndim else float(norm), "weighted sum")
 
 
 def hnorm(g: GridFunction, idx: AnisotropicIndex) -> float:
