@@ -24,9 +24,8 @@ class UnsupportedParameterError(HormspaceError, ValueError):
 class StabilityError(HormspaceError, RuntimeError):
     """A per-mode evolution would grow exponentially."""
 
-    def __init__(self, message, xi=None, lam=None):
+    def __init__(self, message, lam=None):
         super().__init__(message)
-        self.xi = xi
         self.lam = lam
 
 
@@ -40,8 +39,3 @@ class DegenerateFrameError(HormspaceError, RuntimeError):
 
 class CoveringPreconditionError(HormspaceError, RuntimeError):
     """Root counts are unbalanced, so the covering check cannot proceed."""
-
-    def __init__(self, message, n_plus=None, n_minus=None):
-        super().__init__(message)
-        self.n_plus = n_plus
-        self.n_minus = n_minus

@@ -8,7 +8,9 @@ exponential quadrature against the piecewise-linear interpolant of f_hat,
 which makes the solution exactly zero for t <= 0 and exact for forcing
 that is linear between time samples.  The round trip A(A^-1 f) = f is
 checked in the same spatial modes: A is the spatial multiplier plus a_t
-d/dt there, so u never returns to physical space.
+d/dt there, so u never returns to physical space.  Every entry point takes
+its forcing through _checked_modes, the one support check: a grid on its
+samples before its spatial transform, a block of modes on its modes.
 
 The two-sided estimate of the isomorphism is probed by the ratio of the
 support-constrained factor norm of the solution on the window (0, tau) to
@@ -26,10 +28,9 @@ ensemble of them is taken a block of members at a time: each step (the
 time transform, the Duhamel recurrence, the plus-norm blocks and the
 Parseval sums) acts on the whole block at once.  A block holds at most
 _BLOCK_VALUES = 2**15 complex mode values (512 KB; at least one member):
-enough members (40 at 16**2 x 32, 20 at 32**2 x 64) that the per-call cost
-of the small numpy steps is shared, and few enough that a block and its
-work arrays stay below the peak the rest of model-verify reaches, so that
-peak does not grow with the ensemble.
+enough (40 members at 16**2 x 32, 20 at 32**2 x 64) to share the per-call
+cost of the small numpy steps, and few enough that model-verify's peak
+does not grow with the ensemble.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ import numpy as np
 
 from .class_m import PhiFunction, constant_one, eval_phi
 from .errors import StabilityError
-from .parabolicity import PrincipalSymbol, petrovskii_check
+from .parabolicity import PrincipalSymbol, _evaluate, petrovskii_check
 from .plus_spaces import PlusNormSolver, time_window_region
 from .spectra import AnisotropicIndex, GridFunction, Lattice, hnorm, r_gamma_array
 from .spectra import _parseval_norm, weight_array
@@ -113,22 +114,19 @@ class PeriodicParabolicOperator:
             raise ValueError("need tau < L_t / 2 for the centered time window")
 
     def spatial_multiplier(self, lattice: Lattice) -> np.ndarray:
-        """Per-mode value of the spatial part: sum a_alpha * (-xi)**alpha."""
+        """Per-mode value of the spatial part: sum a_alpha * (-xi)**alpha,
+        the symbol's p = 0 rows and the lower-order terms evaluated as one
+        coefficient table at every spatial mode."""
         self._check_lattice(lattice)
-        xi = lattice.xi_axis()
-        shape = (lattice.n_x,) * lattice.k
-        out = np.zeros(shape, dtype=complex)
+        k = lattice.k
         terms = [(alpha, c) for (alpha, beta), c in self.symbol.coeffs.items() if beta == 0]
-        terms += list(self.lower_order.items())
-        for alpha, c in terms:
-            term = np.full(shape, c, dtype=complex)
-            for axis, a in enumerate(alpha):
-                if a:
-                    axis_shape = [1] * lattice.k
-                    axis_shape[axis] = lattice.n_x
-                    term = term * ((-xi) ** a).reshape(axis_shape)
-            out += term
-        return out
+        terms += self.lower_order.items()
+        E = np.array([alpha for alpha, _ in terms], dtype=int).reshape(len(terms), k)
+        table = (E, np.zeros(len(E), dtype=int), np.array([c for _, c in terms], dtype=complex))
+        # complex points take integer powers by repeated products: xi**2 is xi * xi
+        xi = np.meshgrid(*(-lattice.xi_axis().astype(complex),) * k, indexing="ij")
+        xi = np.stack(xi, -1).reshape(-1, k)
+        return _evaluate(table, xi, np.zeros(len(xi))).reshape((lattice.n_x,) * k)
 
     def lambda_modes(self, lattice: Lattice) -> np.ndarray:
         """Sign-normalized per-mode decay rates lambda(xi)."""
@@ -154,10 +152,10 @@ def _phi12(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _check_forcing(op: PeriodicParabolicOperator, lat: Lattice, values: np.ndarray) -> None:
     """Every forcing must live on the operator's lattice and be supported in
-    0 <= t <= tau.  values holds a block of forcings, shape (members, rows,
-    n_t): the samples or the spatial modes of each, time last (a time slice
-    vanishes in one form exactly when it does in the other).  Each member
-    is measured against its own largest value."""
+    0 <= t <= tau; _checked_modes alone calls this.  values holds a block
+    of forcings, shape (members, rows, n_t), time last: a grid's samples or
+    a block's modes.  Each member is measured against its own largest
+    value."""
     op._check_lattice(lat)
     t = lat.t_axis()
     outside = (t < 0.0) | (t > op.tau + 1e-12 * lat.L_t)
@@ -191,12 +189,15 @@ class _ModalForcing:
             raise ValueError("modes must be finite")
 
 
-def _spatial_modes(f: GridFunction | _ModalForcing) -> _ModalForcing:
-    """The forcing in modal form; a grid takes its one spatial transform and
-    becomes a block of one."""
-    if isinstance(f, _ModalForcing):
-        return f
+def _checked_modes(op: PeriodicParabolicOperator, f: GridFunction | _ModalForcing):
+    """The forcing as a checked _ModalForcing, the one place a forcing is
+    checked: a block on its modes; a grid on its samples, after which it
+    takes its one spatial transform and becomes a block of one."""
     lat = f.lattice
+    if isinstance(f, _ModalForcing):
+        _check_forcing(op, lat, f.modes)
+        return f
+    _check_forcing(op, lat, f.samples.reshape(1, -1, lat.n_t))
     fhat = np.fft.fftn(f.samples, axes=tuple(range(lat.k)), norm="ortho")
     return _ModalForcing(lat, slice(None), fhat.reshape(1, -1, lat.n_t))
 
@@ -210,12 +211,10 @@ def _duhamel_weights(op: PeriodicParabolicOperator, lat: Lattice) -> np.ndarray:
     re_min = float(np.min(lam.real))
     if re_min < -1e-12 * (1.0 + float(np.max(np.abs(lam)))):
         bad = np.unravel_index(int(np.argmin(lam.real)), lam.shape)
-        xi = lat.xi_axis()
-        xi_bad = [float(xi[i]) for i in bad]
+        xi = [float(lat.xi_axis()[i]) for i in bad]
         raise StabilityError(
-            f"mode xi = {xi_bad} has Re lambda = {re_min:.3e} < 0; "
+            f"mode xi = {xi} has Re lambda = {re_min:.3e} < 0; "
             "the evolution grows exponentially",
-            xi=np.asarray(xi_bad),
             lam=complex(lam[bad]),
         )
     h = lat.L_t / lat.n_t
@@ -248,8 +247,7 @@ def solve_periodic(op: PeriodicParabolicOperator, f: GridFunction) -> GridFuncti
     if any mode has Re lambda < 0 (a genuinely growing mode).
     """
     lat = f.lattice
-    _check_forcing(op, lat, f.samples.reshape(1, -1, lat.n_t))
-    f = _spatial_modes(f)
+    f = _checked_modes(op, f)
     u = _duhamel_modes(op, _duhamel_weights(op, lat), f.rows, f.modes, lat.n_t)
     u = np.fft.ifftn(u.reshape(lat.shape), axes=tuple(range(lat.k)), norm="ortho")
     return GridFunction(lat, u)
@@ -266,8 +264,7 @@ def roundtrip_residual(op: PeriodicParabolicOperator, f: GridFunction) -> float:
     error of the residual evaluator itself.
     """
     lat = f.lattice
-    _check_forcing(op, lat, f.samples.reshape(1, -1, lat.n_t))
-    f_modes = _spatial_modes(f).modes
+    f_modes = _checked_modes(op, f).modes
     u = _duhamel_modes(op, _duhamel_weights(op, lat), slice(None), f_modes, lat.n_t)
     dudt = (-np.roll(u, -2, axis=-1) + 8 * np.roll(u, -1, axis=-1) - 8 * np.roll(u, 1, axis=-1)
             + np.roll(u, 2, axis=-1)) / (12 * (lat.L_t / lat.n_t))
@@ -280,6 +277,20 @@ def roundtrip_residual(op: PeriodicParabolicOperator, f: GridFunction) -> float:
     return float(np.linalg.norm((au - f_modes)[..., interior].ravel())) / denom
 
 
+def _indices(
+    op: PeriodicParabolicOperator, sigma: float, phi: PhiFunction | None
+) -> tuple[AnisotropicIndex, AnisotropicIndex]:
+    """The indices (sigma, gamma, phi) of the solution and (sigma - 2m,
+    gamma, phi) of the forcing, with gamma = 1/(2b) and phi = 1 by default.
+    Refuses sigma <= 2m."""
+    order = 2 * op.symbol.m
+    if not sigma > order:
+        raise ValueError(f"need sigma > {order}")
+    gamma = 1.0 / (2.0 * op.symbol.b)
+    phi = constant_one() if phi is None else phi
+    return AnisotropicIndex(sigma, gamma, phi), AnisotropicIndex(sigma - order, gamma, phi)
+
+
 def two_sided_ratio(
     op: PeriodicParabolicOperator,
     ensemble: Iterable[GridFunction | _ModalForcing],
@@ -290,42 +301,34 @@ def two_sided_ratio(
 
     Finite, stable bounds certify the two-sided a priori estimate on the
     lattice.  Requires sigma > 2m and a nondegenerate ensemble.  The
-    ensemble may be any iterable, a generator included, of blocks of
-    members.  A GridFunction is a block of one, which takes one spatial
-    transform and then occupies every spatial mode; a _ModalForcing is a
-    block of forcings by their spatial modes on the rows they share
-    (model-verify passes the bands of its synthesized forcings that way,
-    _BLOCK_VALUES mode values a block).  Each block is read once, in
-    order, and the next one is drawn only after the current one's ratios
-    are taken, so a generator keeps one block in memory at a time (besides
-    the one it is making).  Every step acts on the whole block: one time
-    transform, one Duhamel recurrence, one plus-norm minimisation and one
-    Parseval sum each for the forcing and the solution norms, which return
-    a norm per member.  Each member is refused on its own terms (its
-    support against its own scale, a zero forcing), so the ratios do not
-    depend on how the ensemble is cut into blocks.  The lattice, the
-    plus-norm solver, the forcing weight and the Duhamel weights come from
-    the first block.  A spatial mode off a block's rows stays exactly zero
-    through the Duhamel solve and its own plus-norm block, so the forcing
-    norm, the Duhamel modes and the plus-norm blocks are taken on the rows
-    alone.  Up to rounding this equals solve_periodic, then
-    PlusNormSolver.solve, over hnorm of f, with the same refusals; the
-    stability refusal covers every mode of the lattice, not only the rows.
+    ensemble may be any iterable, a generator included, of blocks: a
+    GridFunction is a block of one, checked on its samples as
+    solve_periodic checks it and then occupying every spatial mode; a
+    _ModalForcing is a block of forcings by their spatial modes on the rows
+    they share (model-verify passes its synthesized bands that way,
+    _BLOCK_VALUES mode values a block).  Each block is read once, in order,
+    and the next is drawn only after the current one's ratios are taken, so
+    a generator keeps one block in memory at a time (besides the one it is
+    making).  Every step acts on the whole block: one time transform, one
+    Duhamel recurrence, one plus-norm minimisation and one Parseval sum for
+    each norm, which return a norm per member.  Each member is refused on
+    its own terms (its support against its own scale, a zero forcing), so
+    the ratios do not depend on how the ensemble is cut into blocks.  The
+    lattice, the plus-norm solver, the forcing weight and the Duhamel
+    weights come from the first block.  A spatial mode off a block's rows
+    stays exactly zero through the Duhamel solve and its own plus-norm
+    block, so every step is taken on the rows alone.  Up to rounding this
+    equals solve_periodic, then PlusNormSolver.solve, over hnorm of f, with
+    the same refusals; the stability refusal covers every mode of the
+    lattice, not only the rows.
     """
-    if phi is None:
-        phi = constant_one()
-    order = 2 * op.symbol.m
-    if not sigma > order:
-        raise ValueError(f"need sigma > {order}")
+    idx_u, idx_f = _indices(op, sigma, phi)
     blocks = iter(ensemble)
     f = next(blocks, None)
     if f is None:
         raise ValueError("ensemble must be nonempty")
     lat = f.lattice
     weights = _duhamel_weights(op, lat)
-    gamma = 1.0 / (2.0 * op.symbol.b)
-    idx_u = AnisotropicIndex(sigma, gamma, phi)
-    idx_f = AnisotropicIndex(sigma - order, gamma, phi)
     region = time_window_region(lat, 0.0, op.tau)
     solver = PlusNormSolver(idx_u, region)
     # a time window is constant across x, so its masks commute with the
@@ -340,8 +343,7 @@ def two_sided_ratio(
     while f is not None:
         if f.lattice != lat:
             raise ValueError("ensemble members live on different lattices")
-        f = _spatial_modes(f)
-        _check_forcing(op, lat, f.modes)
+        f = _checked_modes(op, f)
         coeffs = np.fft.fft(f.modes, axis=-1, norm="ortho")
         fn = _parseval_norm(lat, w2_f[f.rows], np.abs(coeffs) ** 2)
         if not np.all(fn > 0.0):
@@ -472,23 +474,16 @@ def regularity_inheritance_check(
     report flags a level whose solution norm grows by more than 2x.
     Needs levels >= 1: an empty ladder would pass without a solve.
     """
-    if phi is None:
-        phi = constant_one()
-    order = 2 * op.symbol.m
-    if not sigma > order:
-        raise ValueError(f"need sigma > {order}")
+    idx_u, idx_f = _indices(op, sigma, phi)
     if levels < 1:
         raise ValueError(f"levels must be at least 1, got {levels}")
-    gamma = 1.0 / (2.0 * op.symbol.b)
-    idx_u = AnisotropicIndex(sigma, gamma, phi)
-    idx_f = AnisotropicIndex(sigma - order, gamma, phi)
     rows = []
     lat = base_lattice
     prev_u = None
     flagged = False
     for level in range(levels):
-        r = r_gamma_array(lat, gamma)
-        profile = r ** (-(sigma - order + extra_decay)) / eval_phi(phi, r)
+        r = r_gamma_array(lat, idx_f.gamma)
+        profile = r ** (-(idx_f.s + extra_decay)) / eval_phi(idx_f.phi, r)
         phases = _deterministic_phases(lat, seed)
         field = np.fft.ifftn(profile * phases, norm="ortho")
         f = GridFunction(lat, field * _time_bump(lat, op.tau))
@@ -500,13 +495,7 @@ def regularity_inheritance_check(
         if growth is not None and growth > _GROWTH_LIMIT:
             flagged = True
         rows.append(
-            {
-                "n_x": lat.n_x,
-                "n_t": lat.n_t,
-                "f_norm": f_norm,
-                "u_norm": u_norm,
-                "growth": growth,
-            }
+            {"n_x": lat.n_x, "n_t": lat.n_t, "f_norm": f_norm, "u_norm": u_norm, "growth": growth}
         )
         prev_u = u_norm
         lat = lat.refine(2, 2)

@@ -383,9 +383,7 @@ def root_split(poly) -> tuple[list[complex], list[complex]]:
     minus = [complex(z) for z in roots[roots.imag < 0]]
     if len(plus) != len(minus):
         raise CoveringPreconditionError(
-            f"unbalanced root split: {len(plus)} upper vs {len(minus)} lower",
-            n_plus=len(plus),
-            n_minus=len(minus),
+            f"unbalanced root split: {len(plus)} upper vs {len(minus)} lower"
         )
     return plus, minus
 

@@ -94,17 +94,15 @@ def _gram(kernel: np.ndarray, free: np.ndarray, block_shape: tuple) -> np.ndarra
     return np.take(kernel, diff, axis=1)
 
 
-def _cholesky_inverse_factor(gram: np.ndarray, w2_max: float) -> float:
+def _cholesky_inverse_factor(gram: np.ndarray, lam_max: float) -> float:
     """Factor one nonempty real symmetric block G = L L^T in place: gram (C
-    order, float64) becomes R = L^-T, so that R R^T = G^-1.  Returns a
-    certified upper bound on cond(G): lambda_max <= min(max w**2, the
-    largest absolute row sum) (G is a principal submatrix of a circulant
-    with eigenvalues w**2, and Gershgorin), and 1/lambda_min <= trace(G^-1)
-    = ||L^-1||_F**2, capped at the largest float; inf means only a failed
-    factorization, which leaves gram unusable."""
+    order, float64) becomes R = L^-T, so that R R^T = G^-1.  Given lam_max,
+    a bound on its largest eigenvalue, returns a certified upper bound on
+    cond(G): 1/lambda_min <= trace(G^-1) = ||L^-1||_F**2, and the product
+    is capped at the largest float; inf means only a failed factorization,
+    which leaves gram unusable."""
     from scipy.linalg.lapack import dpotrf, dtrtri
 
-    lam_max = min(w2_max, float(np.linalg.norm(gram, np.inf)))
     # gram.T is the Fortran-ordered view of the same symmetric matrix, so
     # LAPACK works in place
     low, info = dpotrf(gram.T, lower=1, overwrite_a=1)
@@ -174,8 +172,12 @@ class PlusNormSolver:
         self.Q = _gram(kernel, self.free, block_shape)
         cond = np.ones(first.size)
         if self.free.size:
+            # lambda_max <= min(max w**2, the largest absolute row sum): each
+            # block is a principal submatrix of a circulant with eigenvalues
+            # w**2 (and Gershgorin); taken before the factors overwrite Q
+            lam_max = np.minimum(w2_max, np.abs(self.Q).sum(axis=-1).max(axis=-1))
             for c in range(first.size):
-                cond[c] = _cholesky_inverse_factor(self.Q[c], float(w2_max[c]))
+                cond[c] = _cholesky_inverse_factor(self.Q[c], float(lam_max[c]))
         failed = np.isinf(cond)
         # only blocks refused on the bound are rebuilt for their exact number
         over = np.flatnonzero(~(cond <= _COND_LIMIT) & ~failed)

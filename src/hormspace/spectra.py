@@ -92,18 +92,20 @@ class Lattice:
             raise ValueError("periods must be finite and positive")
         # every weighted sum multiplies by the cell volume, and r_gamma**2 at
         # gamma = 1 reaches 1 + k xi**2 + eta**2 at the largest frequencies;
-        # a float product overflows to inf where a float power raises
+        # a float product overflows to inf where a float power raises, and a
+        # cell below the smallest normal float would zero every norm
         xi = 2.0 * math.pi / self.L_x * (self.n_x // 2)
         eta = 2.0 * math.pi / self.L_t * (self.n_t // 2)
         try:
             cell = self.cell_volume
         except OverflowError:
             cell = math.inf
-        if not max(cell, self.k * xi * xi + eta * eta) < math.inf:
+        squares = self.k * xi * xi + eta * eta
+        if not (np.finfo(float).tiny <= cell < math.inf and squares < math.inf):
             raise ValueError(
-                f"periods L_x = {self.L_x:g} and L_t = {self.L_t:g} are too small for "
-                f"k = {self.k}: the frequency cell or the largest squared frequency "
-                "overflows double precision"
+                f"periods L_x = {self.L_x:g} and L_t = {self.L_t:g} are out of range for "
+                f"k = {self.k}: the frequency cell underflows, or it or the largest "
+                "squared frequency overflows double precision"
             )
 
     @property

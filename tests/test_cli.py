@@ -953,3 +953,23 @@ def test_periods_too_small_for_double_precision_are_refused(capsys, tmp_path, k,
     assert captured.err.startswith("error: periods ")
     assert captured.err.endswith(" overflows double precision\n")
     assert len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "k, n_x, n_t, L_x, L_t",
+    [(63, 1, 2, 1e10, 1.0), (1, 4, 4, 1e300, 1e300)],
+    ids=["k63", "k1"],
+)
+def test_periods_whose_cell_volume_underflows_are_refused(capsys, tmp_path, k, n_x, n_t, L_x, L_t):
+    # the cell volume underflowed to 0, and the norm of an all-ones grid
+    # was reported as "hnorm": 0 with exit 0
+    path = tmp_path / "huge.hgrd"
+    ones = np.ones(n_x**k * n_t, dtype=np.complex64).tobytes()
+    path.write_bytes(gridio._HEADER.pack(b"HGRD", k, n_x, n_t, L_x, L_t) + ones)
+    code = cli.main(["norm", str(path), "--s", "1", "--gamma", "0.5"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: periods ")
+    assert "the frequency cell underflows" in captured.err
+    assert len(captured.err.splitlines()) == 1

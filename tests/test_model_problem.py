@@ -696,3 +696,107 @@ def test_each_member_of_a_block_is_refused_on_its_own_terms(heat_op):
     # a non-finite member cannot be put into a block
     with pytest.raises(ValueError, match="finite"):
         block(np.stack((good[0], np.full_like(good[1], np.nan), good[2])))
+
+
+def _localized_with_tail(lat, tau, tail):
+    """A bump in time at one x point, plus an x-uniform value at one t < 0
+    sample of tail times the bump's peak."""
+    samples = np.zeros(lat.shape, dtype=complex)
+    bump = mp._time_bump(lat, tau)
+    samples[3, 5] = bump
+    samples[..., 2] = tail * bump.max()
+    return sp.GridFunction(lat, samples)
+
+
+@pytest.mark.parametrize("tail, accepted", [(1e-14, True), (1e-11, False)])
+def test_solve_roundtrip_and_ratio_check_a_grid_forcing_alike(heat_op, tail, accepted):
+    # the tail is below 1e-12 of the largest sample at 1e-14, but its mode
+    # xi = 0 carries it 16 times larger while the point's modes are 16 times
+    # smaller: checked on its modes, the ratio refused what the solve accepted
+    lat = sp.Lattice(k=2, n_x=16, n_t=32, L_x=2 * math.pi, L_t=2 * math.pi)
+    f = _localized_with_tail(lat, heat_op.tau, tail)
+    calls = (
+        lambda: mp.solve_periodic(heat_op, f),
+        lambda: mp.roundtrip_residual(heat_op, f),
+        lambda: mp.two_sided_ratio(heat_op, [f], 4.0),
+    )
+    for call in calls:
+        if accepted:
+            call()
+        else:
+            with pytest.raises(ValueError, match="not supported"):
+                call()
+
+
+def _multiplier_by_axes(op, lat, modulus=False):
+    """sum a_alpha (-xi)**alpha by one tensor product per term over the
+    axes, the p = 0 rows of the symbol first, then the lower-order terms;
+    with modulus, the sum of the terms' moduli."""
+    xi = np.abs(lat.xi_axis()) if modulus else lat.xi_axis()
+    shape = (lat.n_x,) * lat.k
+    out = np.zeros(shape, dtype=complex)
+    terms = [(alpha, c) for (alpha, beta), c in op.symbol.coeffs.items() if beta == 0]
+    terms += list(op.lower_order.items())
+    for alpha, c in terms:
+        term = np.full(shape, abs(c) if modulus else c, dtype=complex)
+        for axis, a in enumerate(alpha):
+            if a:
+                axis_shape = [1] * lat.k
+                axis_shape[axis] = lat.n_x
+                term = term * ((xi if modulus else -xi) ** a).reshape(axis_shape)
+        out += term
+    return out.real if modulus else out
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("lower", ["none", "constant", "first-order"])
+def test_spatial_multiplier_matches_the_tensor_loop(k, lower):
+    # principal-only symbols give the same bits; with lower-order terms the
+    # sum may be taken in another order (it is at k = 3 with a constant
+    # term), which moves each part of a multiplier by at most two units in
+    # the last place of the sum of the terms' moduli
+    e = [tuple(row) for row in np.eye(k, dtype=int)]
+    lower_order = {
+        "none": {},
+        "constant": {(0,) * k: 31.4 - 160.5j},
+        "first-order": {e[0]: 0.5j, e[-1]: 0.3 + 0.2j, (0,) * k: 0.25},
+    }[lower]
+    op = mp.PeriodicParabolicOperator(
+        symbol=heat_symbol(k), L_x=8.45, tau=1.0, lower_order=lower_order
+    )
+    # at 64**2 numpy's vectorised float power rounds some xi**2 otherwise
+    for n_x in (1, 2, 8, 16) + ((64,) if k < 3 else ()):
+        lat = sp.Lattice(k=k, n_x=n_x, n_t=8, L_x=8.45, L_t=8.0)
+        got, want = op.spatial_multiplier(lat), _multiplier_by_axes(op, lat)
+        assert got.shape == want.shape
+        if lower_order:
+            ulp = np.spacing(_multiplier_by_axes(op, lat, modulus=True))
+            assert np.all(np.abs(got.real - want.real) <= 2 * ulp)
+            assert np.all(np.abs(got.imag - want.imag) <= 2 * ulp)
+        else:
+            assert np.array_equal(got, want)
+
+
+def test_check_forcing_is_reached_only_through_checked_modes(heat_op, monkeypatch):
+    import ast
+    import inspect
+
+    tree = ast.parse(inspect.getsource(mp))
+    callers = {
+        fn.name
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_check_forcing"
+    }
+    assert callers == {"_checked_modes"}
+    # each entry point takes each forcing through it once
+    seen = []
+    checked = mp._checked_modes
+    monkeypatch.setattr(mp, "_checked_modes", lambda op, f: seen.append(f) or checked(op, f))
+    lat = _lattice(8, 16)
+    f = mp.synthesize_forcing(lat, heat_op.tau, seed=1)
+    mp.solve_periodic(heat_op, f)
+    mp.roundtrip_residual(heat_op, f)
+    mp.two_sided_ratio(heat_op, [f, f], 4.0)
+    assert len(seen) == 4 and all(g is f for g in seen)

@@ -251,6 +251,30 @@ def test_eigvalsh_runs_only_when_a_bound_exceeds_the_limit(monkeypatch, kind, s,
     assert calls == (["eigvalsh"] if escalated else [])
 
 
+def test_batched_eigenvalue_bound_equals_the_per_block_norm(monkeypatch):
+    # the bound on lambda_max taken for every block before any factor is,
+    # block by block, min(max w**2, np.linalg.norm(G, inf)) of the block
+    # the factor receives, and max_cond is the largest resulting bound
+    seen = []
+    factor = ps._cholesky_inverse_factor
+
+    def spy(gram, lam_max):
+        seen.append((gram.copy(), lam_max))
+        return factor(gram, lam_max)
+
+    monkeypatch.setattr(ps, "_cholesky_inverse_factor", spy)
+    idx = sp.AnisotropicIndex(1.5, 0.5)
+    solver = ps.PlusNormSolver(idx, _shared_slab_8x64())
+    assert len(seen) == len(solver.Q) == 15
+    w2 = solver.w2.reshape(len(solver.w2), -1)
+    first = [int(np.flatnonzero(solver.cls == c)[0]) for c in range(len(solver.Q))]
+    bounds = []
+    for (gram, lam_max), row in zip(seen, first):
+        assert lam_max == min(w2[row].max(), np.linalg.norm(gram, np.inf))
+        bounds.append(factor(gram, min(w2[row].max(), np.linalg.norm(gram, np.inf))))
+    assert solver.max_cond == max(bounds) < ps._COND_LIMIT
+
+
 def _per_row_blocks(idx, region):
     """R = L^-T and the certified bound of every block of a slab region, one
     dpotrf + dtrtri per spatial mode, and the exact condition numbers by

@@ -2,7 +2,12 @@
 
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "report_diff.py"
 _spec = importlib.util.spec_from_file_location("report_diff", TOOL)
@@ -99,3 +104,44 @@ def test_one_difference_at_one_seed_fails_the_whole_run(monkeypatch, capsys):
         "second[13]: x 1.0 -> 2.0  (rel 0.5)",
         "second seed 13: 1 cases, 1 differences",
     ]
+
+
+def test_two_paths_to_one_tree_are_refused(monkeypatch, tmp_path, capsys):
+    # the same tree on both sides would read "0 differences" whatever it holds
+    (tmp_path / "src").mkdir()
+    (tmp_path / "link").symlink_to(tmp_path / "src")
+    for other in (tmp_path / "src" / ".", tmp_path / "link"):
+        fake = _Workloads()
+        monkeypatch.setitem(rd.sys.modules, "workloads", fake)
+        with pytest.raises(SystemExit) as exit_:
+            rd.main([str(tmp_path / "src"), str(other), "--workload", "all", "--seed", "7"])
+        assert exit_.value.code == 2
+        assert "the same directory" in capsys.readouterr().err
+        assert fake.built == []
+
+
+def _stub_package(src):
+    """A hormspace package under src whose cli.main reports nothing."""
+    package = src / "hormspace"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "cli.py").write_text("def main(argv):\n    return 0\n")
+
+
+def test_runner_refuses_a_package_from_a_sibling_tree(tmp_path):
+    # src_old/hormspace starts with the text of src, yet is not src/hormspace
+    _stub_package(tmp_path / "src")
+    _stub_package(tmp_path / "src_old")
+
+    def run(imported_from):
+        env = dict(os.environ, PYTHONPATH=str(imported_from))
+        return subprocess.run(
+            [sys.executable, "-c", rd._RUNNER, str(tmp_path / "src")],
+            input="[]", capture_output=True, text=True, env=env,
+        )
+
+    same = run(tmp_path / "src")
+    assert same.returncode == 0 and json.loads(same.stdout) == []
+    sibling = run(tmp_path / "src_old")
+    assert sibling.returncode == 1
+    assert "src_old" in sibling.stderr and sibling.stdout == ""

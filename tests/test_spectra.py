@@ -75,6 +75,20 @@ def test_lattice_refuses_periods_whose_frequencies_overflow(k, n_x, n_t, L_x, L_
     sp.Lattice(k=k, n_x=n_x, n_t=n_t, L_x=factor * L_x, L_t=factor * L_t)
 
 
+@pytest.mark.parametrize(
+    "k, n_x, n_t, L_x, L_t, factor",
+    [(63, 1, 2, 1e10, 1.0, 1e9), (1, 4, 4, 1e300, 1e300, 1e150), (1, 1, 1, 1e155, 1e155, 1e5)],
+    ids=["k63", "k1", "subnormal"],
+)
+def test_lattice_refuses_periods_whose_cell_volume_underflows(k, n_x, n_t, L_x, L_t, factor):
+    # a cell volume of 0, or below the smallest normal float, would make
+    # every norm on the lattice 0 or lose its digits; periods factor times
+    # shorter are accepted
+    with pytest.raises(ValueError, match="the frequency cell underflows"):
+        sp.Lattice(k=k, n_x=n_x, n_t=n_t, L_x=L_x, L_t=L_t)
+    sp.Lattice(k=k, n_x=n_x, n_t=n_t, L_x=L_x / factor, L_t=L_t / factor)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_index_refuses_non_finite_s_and_gamma(bad):
     # gamma <= 0 is False for nan, so a nan index once gave a nan norm

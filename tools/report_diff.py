@@ -11,7 +11,8 @@ into a temporary directory.  Each tree then runs every case's argv through
 stderr text or report field that differs is printed, a numeric field with
 its relative size, and then one summary line per workload and seed.  The
 exit status is 1 on any difference and 0 when every report is
-byte-identical.
+byte-identical.  Two trees that resolve to the same directory are refused
+(exit 2): their reports could not differ.
 """
 
 from __future__ import annotations
@@ -29,11 +30,12 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # run in each tree's subprocess: argv lists on stdin, one result per case out
 _RUNNER = """
-import contextlib, io, json, sys
+import contextlib, io, json, os, sys
 import hormspace, hormspace.cli
 src = sys.argv[1]
-if not hormspace.__file__.startswith(src):
-    raise SystemExit(f"hormspace imported from {hormspace.__file__}, not {src}")
+package = os.path.dirname(os.path.realpath(hormspace.__file__))
+if package != os.path.join(os.path.realpath(src), "hormspace"):
+    raise SystemExit(f"hormspace imported from {package}, not {src}/hormspace")
 results = []
 for argv in json.load(sys.stdin):
     out, err = io.StringIO(), io.StringIO()
@@ -121,6 +123,9 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", required=True, help="a workload name, or all")
     ap.add_argument("--seed", type=int, nargs="+", required=True)
     args = ap.parse_args(argv)
+    parent_src, change_src = args.parent_src.resolve(), args.change_src.resolve()
+    if parent_src == change_src:
+        ap.error(f"PARENT_SRC and CHANGE_SRC are the same directory, {parent_src}")
     sys.path.insert(0, str(ROOT / "bench"))
     import workloads
 
@@ -128,9 +133,7 @@ def main(argv=None) -> int:
     differences = 0
     for name in names:
         for seed in args.seed:
-            differences += diff_workload(
-                workloads, args.parent_src.resolve(), args.change_src.resolve(), name, seed
-            )
+            differences += diff_workload(workloads, parent_src, change_src, name, seed)
     return 1 if differences else 0
 
 
