@@ -123,9 +123,7 @@ class PeriodicParabolicOperator:
         terms += self.lower_order.items()
         E = np.array([alpha for alpha, _ in terms], dtype=int).reshape(len(terms), k)
         table = (E, np.zeros(len(E), dtype=int), np.array([c for _, c in terms], dtype=complex))
-        # complex points take integer powers by repeated products: xi**2 is xi * xi
-        xi = np.meshgrid(*(-lattice.xi_axis().astype(complex),) * k, indexing="ij")
-        xi = np.stack(xi, -1).reshape(-1, k)
+        xi = np.stack(np.meshgrid(*(-lattice.xi_axis(),) * k, indexing="ij"), -1).reshape(-1, k)
         return _evaluate(table, xi, np.zeros(len(xi))).reshape((lattice.n_x,) * k)
 
     def lambda_modes(self, lattice: Lattice) -> np.ndarray:

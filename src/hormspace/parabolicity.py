@@ -6,9 +6,10 @@ homogeneity |alpha| + 2 b beta fixed (2m for the interior symbol, m_j for
 a boundary symbol).  Petrovskii parabolicity is decided by the root
 margin: every root p of A(omega, .) must have Re p < 0 on the unit sphere
 |omega| = 1, checked exactly at k = 1 and by a scan plus a gradient polish
-at k >= 2, from one evaluator over the symbol's coefficient table.  The
-covering condition is a rank test at sampled boundary frames, on the
-zeta-polynomials that `_zeta_poly_from_coeffs` expands term by term.
+at k >= 2.  The covering condition is a rank test at sampled boundary
+frames, each moved along its quasi-homogeneous orbit to |xi_tan|**2 + |p|**2
+= 1, of zeta-polynomials interpolated at roots of unity.  Both checks use
+one evaluator (powers as running products) and one companion root finder.
 """
 
 from __future__ import annotations
@@ -46,8 +47,7 @@ _NEAR_REAL_REL = 1e-9
 _CLUSTER_REL = 1e-7
 _DELTA_MIN = 1e-9
 _COVER_TOL = 1e-8
-# the most sphere points petrovskii_check scans, and the most elements of the
-# (points, terms, k) power array its scan builds
+# the most sphere points or random frames, and of elements in one power array
 _MAX_SAMPLES = 2**20
 _MAX_SCAN_ELEMENTS = 2**26
 
@@ -56,8 +56,7 @@ def _norm_coeffs(coeffs, n: int, b: int, degree: int, what: str):
     out = {}
     for key, val in coeffs.items():
         alpha, beta = key
-        alpha = tuple(int(a) for a in alpha)
-        beta = int(beta)
+        alpha, beta = tuple(int(a) for a in alpha), int(beta)
         if len(alpha) != n or any(a < 0 for a in alpha) or beta < 0:
             raise StructuralSymbolError(f"{what}: bad index {key}")
         if sum(alpha) + 2 * b * beta != degree:
@@ -89,9 +88,8 @@ class PrincipalSymbol:
             raise ValueError("need m >= b >= 1")
         if self.m % self.b != 0:
             raise ValueError("m/b must be an integer")
-        object.__setattr__(
-            self, "coeffs", _norm_coeffs(self.coeffs, self.n, self.b, 2 * self.m, "A")
-        )
+        coeffs = _norm_coeffs(self.coeffs, self.n, self.b, 2 * self.m, "A")
+        object.__setattr__(self, "coeffs", coeffs)
 
     @property
     def kappa(self) -> int:
@@ -99,8 +97,7 @@ class PrincipalSymbol:
 
     def validate_structure(self) -> None:
         """The coefficient of p**kappa at alpha = 0 must be nonzero."""
-        key = ((0,) * self.n, self.kappa)
-        if key not in self.coeffs or self.coeffs[key] == 0:
+        if ((0,) * self.n, self.kappa) not in self.coeffs:  # zero coefficients are dropped
             raise StructuralSymbolError(
                 "coefficient of p**kappa at alpha = 0 vanishes; the symbol "
                 "cannot satisfy the parabolicity condition at xi = 0, p = 1"
@@ -119,9 +116,8 @@ class BoundarySymbol:
     def __post_init__(self):
         if self.m_j < 0:
             raise ValueError("boundary order must be >= 0")
-        object.__setattr__(
-            self, "coeffs", _norm_coeffs(self.coeffs, self.n, self.b, self.m_j, "B")
-        )
+        coeffs = _norm_coeffs(self.coeffs, self.n, self.b, self.m_j, "B")
+        object.__setattr__(self, "coeffs", coeffs)
 
 
 @dataclass(frozen=True)
@@ -139,17 +135,13 @@ class BoundaryFrame:
             raise ValueError("nu and xi_tan must be 1-D vectors of equal length")
         if abs(np.linalg.norm(nu) - 1.0) > 1e-9:
             raise ValueError("nu must be a unit vector")
-        scale = 1.0 + float(np.linalg.norm(xi))
-        if abs(float(np.dot(nu, xi))) > 1e-9 * scale:
+        if abs(float(np.dot(nu, xi))) > 1e-9 * (1.0 + float(np.linalg.norm(xi))):
             raise ValueError("xi_tan must be orthogonal to nu")
         if complex(self.p).real < -1e-12:
             raise ValueError("Re p must be >= 0")
         object.__setattr__(self, "nu", nu)
         object.__setattr__(self, "xi_tan", xi)
         object.__setattr__(self, "p", complex(self.p))
-
-    def magnitude(self) -> float:
-        return float(np.linalg.norm(self.xi_tan)) + abs(self.p)
 
 
 def _coeff_table(symbol) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -161,28 +153,37 @@ def _coeff_table(symbol) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return E, beta, c
 
 
+def _powers(x: np.ndarray, top: int) -> np.ndarray:
+    """x**0, x**1, ..., x**top along a new last axis, as running products."""
+    steps = np.repeat(x[..., None], top + 1, axis=-1)
+    steps[..., 0] = 1
+    return np.cumprod(steps, axis=-1)
+
+
 def _evaluate(table, xi: np.ndarray, p: np.ndarray, *, grad: bool = False):
     """A at N points from a coefficient table; xi is (N, n), p is (N,).
 
-    With grad, also returns dA with respect to the real coordinates
-    (xi_1, ..., xi_n, Re p, Im p) as an (N, n + 2) complex array; A is
-    holomorphic in p, so dA/d(Im p) = i dA/dp.
+    Powers are running products (x**3 is (x * x) * x), the same for real and
+    complex points.  With grad, also returns dA with respect to the real
+    coordinates (xi_1, ..., xi_n, Re p, Im p) as an (N, n + 2) complex
+    array; A is holomorphic in p, so dA/d(Im p) = i dA/dp.
     """
     E, beta, c = table
-    xi_pow = xi[:, None, :] ** E  # (N, K, n)
-    coeff_p = c * p[:, None] ** beta  # (N, K)
+    axes = np.arange(E.shape[1])
+    xi_pw = _powers(xi, int(E.max(initial=0)))  # (N, n, max E + 1)
+    p_pw = _powers(p, int(beta.max(initial=0)))  # (N, max beta + 1)
+    xi_pow = xi_pw[:, axes, E]  # (N, K, n)
+    coeff_p = c * p_pw[:, beta]  # (N, K)
     xi_mono = xi_pow.prod(axis=2)
     value = (coeff_p * xi_mono).sum(axis=1)
     if not grad:
         return value
-    cols = []
-    for j in range(E.shape[1]):
-        others = np.delete(xi_pow, j, axis=2).prod(axis=2)
-        d_xi = E[:, j] * xi[:, None, j] ** np.maximum(E[:, j] - 1, 0)
-        cols.append((coeff_p * others * d_xi).sum(axis=1))
-    d_p = (c * beta * p[:, None] ** np.maximum(beta - 1, 0) * xi_mono).sum(axis=1)
-    cols += [d_p, 1j * d_p]
-    return value, np.stack(cols, axis=1)
+    # column j of d_mono: each monomial with its j-th factor differentiated
+    d_pow = E * xi_pw[:, axes, np.maximum(E - 1, 0)]
+    d_mono = np.where(axes[:, None] == axes, d_pow[..., None], xi_pow[:, :, None, :]).prod(axis=3)
+    d_xi = (coeff_p[..., None] * d_mono).sum(axis=1)
+    d_p = (c * beta * p_pw[:, np.maximum(beta - 1, 0)] * xi_mono).sum(axis=1)[:, None]
+    return value, np.concatenate([d_xi, d_p, 1j * d_p], axis=1)
 
 
 def symbol_eval(symbol, xi, p: complex) -> complex:
@@ -233,13 +234,13 @@ def _time_coeffs(slices, omega: np.ndarray) -> np.ndarray:
 
 
 def _roots(a: np.ndarray) -> np.ndarray:
-    """Roots in p of each row of ascending coefficients a (N, kappa + 1)."""
-    kappa = a.shape[1] - 1
-    if kappa == 1:
-        return -a[:, :1] / a[:, 1:]
-    comp = np.zeros((len(a), kappa, kappa), dtype=complex)
-    comp[:, 1:, :-1] = np.eye(kappa - 1)
-    comp[:, :, -1] = -a[:, :kappa] / a[:, kappa:]
+    """Roots of each row of ascending coefficients a (N, d + 1), by companion matrix."""
+    d = a.shape[1] - 1
+    if d == 1:
+        return 0.0 - a[:, :1] / a[:, 1:]  # a zero root reads 0, not -0
+    comp = np.zeros((len(a), d, d), dtype=complex)
+    comp[:, 1:, :-1] = np.eye(d - 1)
+    comp[:, :, -1] = -a[:, :d] / a[:, d:]
     return np.linalg.eigvals(comp)
 
 
@@ -302,62 +303,47 @@ def petrovskii_check(A: PrincipalSymbol, n_samples: int) -> PetrovskiiVerdict:
             if val > best_val:
                 best_val, best_pt = val, w
 
-    a = _time_coeffs(slices, best_pt[None])[0]
-    r = _cluster_roots(np.roots(a[::-1]))
+    r = _cluster_roots(_roots(_time_coeffs(slices, best_pt[None]))[0])
     root = complex(r[np.argmax(r.real)])
     margin = 0.0 - root.real  # not -root.real, which reads -0.0 at a zero root
-    return PetrovskiiVerdict(
-        passed=bool(margin > _DELTA_MIN * float(np.max(np.abs(r)))),
-        root_margin=margin,
-        witness_omega=best_pt.copy(),
-        witness_root=root,
-        n_evaluated=len(pts),
-    )
+    passed = bool(margin > _DELTA_MIN * float(np.max(np.abs(r))))
+    return PetrovskiiVerdict(passed, margin, best_pt.copy(), root, len(pts))
 
 
-def _zeta_poly_from_coeffs(coeffs, frame: BoundaryFrame, degree: int) -> np.ndarray:
-    """Ascending coefficients of zeta -> symbol(xi_tan + zeta nu, p)."""
-    out = np.zeros(degree + 1, dtype=complex)
-    xi = frame.xi_tan
-    nu = frame.nu
-    for (alpha, beta), c in coeffs.items():
-        term = np.array([complex(c)])
-        for a, (x, v) in zip(alpha, zip(xi, nu)):
-            for _ in range(a):
-                term = npoly.polymul(term, np.array([x, v], dtype=complex))
-        if beta:
-            term = term * frame.p**beta
-        out[: len(term)] += term
-    return out
+def _zeta_rows(symbol, frames, c: np.ndarray) -> np.ndarray:
+    """Ascending zeta-coefficients of symbol(xi_tan + zeta nu, p) at each frame
+    moved to (c xi_tan, c**(2b) p): one evaluation at the d + 1 roots of
+    unity, one DFT per row.  A frame whose nu is not of length n is refused."""
+    for i, frame in enumerate(frames):
+        if frame.nu.shape != (symbol.n,):
+            raise ValueError(f"frame {i}: nu has length {frame.nu.size}, not n = {symbol.n}")
+    d = symbol.m_j if isinstance(symbol, BoundarySymbol) else 2 * symbol.m
+    w = np.exp(2j * np.pi * np.arange(d + 1) / (d + 1))
+    nu = np.array([f.nu for f in frames])[:, None]
+    xi = np.array([f.xi_tan for f in frames])[:, None] * c[:, None, None]
+    pts = (xi + w[:, None] * nu).reshape(-1, symbol.n)
+    p = np.array([f.p for f in frames], dtype=complex) * c**symbol.b * c**symbol.b
+    values = _evaluate(_coeff_table(symbol), pts, np.repeat(p, d + 1))
+    return np.fft.fft(values.reshape(len(frames), d + 1), axis=1) / (d + 1)
 
 
-def zeta_polynomial(A: PrincipalSymbol, frame: BoundaryFrame) -> np.ndarray:
-    """A(xi_tan + zeta nu, p) as ascending coefficients in zeta (degree 2m)."""
-    return _zeta_poly_from_coeffs(A.coeffs, frame, 2 * A.m)
+def zeta_polynomial(symbol, frames) -> np.ndarray:
+    """Ascending zeta-coefficients of symbol(xi_tan + zeta nu, p), (frames, 2m or m_j + 1)."""
+    return _zeta_rows(symbol, frames, np.ones(len(frames)))
 
 
 def _cluster_roots(roots: np.ndarray) -> np.ndarray:
     """Merge eigenvalue clusters into centroids to stabilize multiple roots."""
-    if roots.size <= 1:
-        return roots
-    order = np.lexsort((roots.imag, roots.real))
-    roots = roots[order]
     clusters: list[list[complex]] = []
-    for z in roots:
-        placed = False
+    for z in roots[np.lexsort((roots.imag, roots.real))]:
         for cl in clusters:
             center = sum(cl) / len(cl)
             if abs(z - center) <= _CLUSTER_REL * (1.0 + abs(center)):
                 cl.append(z)
-                placed = True
                 break
-        if not placed:
+        else:
             clusters.append([z])
-    merged = []
-    for cl in clusters:
-        center = sum(cl) / len(cl)
-        merged.extend([center] * len(cl))
-    return np.asarray(merged)
+    return np.asarray([sum(cl) / len(cl) for cl in clusters for _ in cl])
 
 
 def root_split(poly) -> tuple[list[complex], list[complex]]:
@@ -371,8 +357,7 @@ def root_split(poly) -> tuple[list[complex], list[complex]]:
         raise ValueError("polynomial must have degree >= 1")
     if c[-1] == 0:
         raise ValueError("leading coefficient must be nonzero")
-    roots = np.roots(c[::-1])
-    roots = _cluster_roots(roots)
+    roots = _cluster_roots(_roots(c[None])[0])
     near_real = np.abs(roots.imag) < _NEAR_REAL_REL * (1.0 + np.abs(roots))
     if np.any(near_real):
         bad = roots[near_real][0]
@@ -427,38 +412,53 @@ def covering_check(
 ) -> CoveringVerdict:
     """Rank test of the boundary symbols modulo the plus-factor of A.
 
-    For each frame the boundary polynomials are reduced modulo the monic
-    product over roots with positive imaginary part; the check passes iff
-    the m x m matrix of remainder coefficients has smallest singular value
-    above tol times its largest entry magnitude at every frame.  A negative
-    or non-finite tol would make the test vacuous and is refused.
+    Each frame is moved along its orbit (c xi_tan, c**(2b) p), c > 0, which
+    keeps the condition, to |xi_tan|**2 + |p|**2 = 1.  There the boundary
+    polynomials are reduced modulo the monic product over roots with Im > 0;
+    the check passes iff the m x m matrix of remainders has smallest singular
+    value above tol times its largest entry at every frame (reported as
+    given).  Refused: a negative or non-finite tol (a vacuous test), a B
+    whose n or b is not A's, a nu not of length n, and frames * (d + 1) *
+    terms * n above 2**26 elements for A or any B.
     """
     if not 0.0 <= tol < math.inf:
         raise ValueError(f"tol must be finite and nonnegative, got {tol}")
     m = A.m
     if len(Bs) != m:
         raise ValueError(f"need exactly m = {m} boundary symbols, got {len(Bs)}")
+    for j, B in enumerate(Bs):
+        if (B.n, B.b) != (A.n, A.b):
+            raise ValueError(f"boundary symbol {j}: n = {B.n}, b = {B.b}, not A's {A.n}, {A.b}")
     if not frames:
         raise ValueError("need at least one frame")
+    per_frame = max([(2 * m + 1) * len(A.coeffs)] + [(B.m_j + 1) * len(B.coeffs) for B in Bs])
+    if len(frames) * per_frame * A.n > _MAX_SCAN_ELEMENTS:
+        raise ValueError(f"frames * (d + 1) * terms * n exceeds {_MAX_SCAN_ELEMENTS}")
+    # c = 1 / rho for (x / rho)**2 + (y / rho)**(4b) = 1, x = |xi_tan|, y = |p|**(1/(2b));
+    # with mu = max(x, y), lest anything overflow, (rho / mu)**2 is the positive root, also
+    # the root of largest real part, of t**(2b) - (x / mu)**2 t**(2b - 1) - (y / mu)**(4b)
+    x = np.array([math.hypot(*f.xi_tan) for f in frames])
+    y = np.array([abs(f.p) for f in frames]) ** (0.5 / A.b)
+    mu = np.maximum(x, y)
+    mu[mu == 0.0] = 1.0  # a frame at the origin keeps rho = 0 and is refused below
+    orbit = np.zeros((len(frames), 2 * A.b + 1))
+    orbit[:, 0], orbit[:, -2], orbit[:, -1] = -((y / mu) ** (4 * A.b)), -((x / mu) ** 2), 1.0
+    rho = mu * np.sqrt(_roots(orbit).real.max(axis=1))
+    c = 1.0 / np.where(rho > 0.0, rho, 1.0)
+    polys, *bpolys = (_zeta_rows(S, frames, c) for S in [A, *Bs])
     worst = None
-    for i, frame in enumerate(frames):
-        if frame.magnitude() == 0.0:
+    for i, (frame, poly) in enumerate(zip(frames, polys)):
+        if rho[i] == 0.0:
             raise ValueError(f"frame {i}: |xi_tan| + |p| must be nonzero")
-        poly = zeta_polynomial(A, frame)
         scale = float(np.max(np.abs(poly)))
         if scale == 0.0 or abs(poly[-1]) < 1e-12 * scale:
-            raise DegenerateFrameError(
-                f"frame {i}: leading zeta coefficient is (near) zero"
-            )
+            raise DegenerateFrameError(f"frame {i}: leading zeta coefficient is (near) zero")
         # 2m roots (the leading coefficient is nonzero), split m / m or refused
-        plus, _ = root_split(poly)
-        pp = plus_polynomial(plus)
+        pp = plus_polynomial(root_split(poly)[0])
         mat = np.zeros((m, m), dtype=complex)
-        for j, B in enumerate(Bs):
-            bpoly = _zeta_poly_from_coeffs(B.coeffs, frame, B.m_j)
-            _, rem = npoly.polydiv(bpoly, pp)
-            rem = np.atleast_1d(rem)
-            mat[j, : min(m, rem.size)] = rem[:m]
+        for j, bpoly in enumerate(bpolys):
+            rem = np.atleast_1d(npoly.polydiv(bpoly[i], pp)[1])[:m]
+            mat[j, : rem.size] = rem
         max_mag = float(np.max(np.abs(mat)))
         if max_mag == 0.0:
             return CoveringVerdict(False, 0.0, i, frame, 0.0)
@@ -468,7 +468,7 @@ def covering_check(
             return CoveringVerdict(False, normalized, i, frame, smin)
         if worst is None or normalized < worst[0]:
             worst = (normalized, i, frame, smin)
-    return CoveringVerdict(True, worst[0], worst[1], worst[2], worst[3])
+    return CoveringVerdict(True, *worst)
 
 
 def sigma0(m: int, b: int, m_orders) -> int:
@@ -486,7 +486,10 @@ def sigma0(m: int, b: int, m_orders) -> int:
 
 
 def random_frames(n_frames: int, dim: int, seed: int) -> list[BoundaryFrame]:
-    """Seeded random frames with unit normal and |xi_tan|**2 + |p|**2 = 1."""
+    """Seeded random frames with unit normal and |xi_tan|**2 + |p|**2 = 1;
+    more than 2**20 frames is refused."""
+    if n_frames > _MAX_SAMPLES:
+        raise ValueError(f"n_frames must be at most {_MAX_SAMPLES}, got {n_frames}")
     rng = np.random.default_rng(seed)
     frames = []
     while len(frames) < n_frames:
@@ -498,11 +501,9 @@ def random_frames(n_frames: int, dim: int, seed: int) -> list[BoundaryFrame]:
         xi = rng.standard_normal(dim)
         xi -= np.dot(xi, nu) * nu
         p = complex(abs(rng.standard_normal()), rng.standard_normal())
-        mag = math.hypot(float(np.linalg.norm(xi)), abs(p))
-        if mag < 1e-9:
+        square = float(np.dot(xi, xi)) + abs(p) ** 2
+        if square < 1e-18:
             continue
-        scale = 1.0 / math.sqrt(float(np.dot(xi, xi)) + abs(p) ** 2)
-        xi = xi * scale
-        p = p * scale
-        frames.append(BoundaryFrame(nu=nu, xi_tan=xi, p=p))
+        scale = 1.0 / math.sqrt(square)
+        frames.append(BoundaryFrame(nu=nu, xi_tan=xi * scale, p=p * scale))
     return frames

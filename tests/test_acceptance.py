@@ -91,7 +91,7 @@ def test_criterion_3_parabolicity_suite():
     ok &= (not v_back.passed) and v_back.root_margin < 0
 
     for frame in pb.random_frames(100, 2, seed=1):
-        plus, minus = pb.root_split(pb.zeta_polynomial(heat, frame))
+        plus, minus = pb.root_split(pb.zeta_polynomial(heat, [frame])[0])
         ok &= len(plus) == 1 and len(minus) == 1
 
     frames = pb.random_frames(50, 2, seed=4)
@@ -107,7 +107,7 @@ def test_criterion_3_parabolicity_suite():
     v_bih = pb.petrovskii_check(bih, 10000)
     ok &= v_bih.passed
     for frame in pb.random_frames(100, 2, seed=9):
-        plus, minus = pb.root_split(pb.zeta_polynomial(bih, frame))
+        plus, minus = pb.root_split(pb.zeta_polynomial(bih, [frame])[0])
         ok &= len(plus) == 2 and len(minus) == 2
 
     elapsed = time.perf_counter() - t0

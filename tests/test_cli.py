@@ -131,6 +131,63 @@ def test_check_parabolic_refuses_scan_past_the_element_bound(capsys, tmp_path, m
 
 
 @pytest.mark.parametrize(
+    "frame",
+    [
+        {"nu": [0, 1, 0], "xi_tan": [1, 0, 0.5], "p": [0.5, 0]},
+        {"nu": [1], "xi_tan": [0], "p": [0.5, 0]},
+    ],
+    ids=["long", "short"],
+)
+def test_check_parabolic_refuses_a_frame_of_another_dimension(capsys, tmp_path, frame):
+    # an n = 2 operator with a frame of length 3 or 1 once read "passed"
+    path = tmp_path / "heat-frame.json"
+    path.write_text(json.dumps({**HEAT_JSON, "frames": [frame]}))
+    code = cli.main(["check-parabolic", str(path), "--samples", "200"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: frame 0: nu has length {len(frame['nu'])}")
+
+
+def test_check_parabolic_refuses_oversized_frame_count(capsys, heat_file, monkeypatch):
+    # refused from the count alone: no frame may be drawn
+    from hormspace import parabolicity
+
+    def never(*args, **kwargs):
+        raise AssertionError("a frame was drawn before the count check")
+
+    monkeypatch.setattr(parabolicity, "BoundaryFrame", never)
+    code = cli.main(["check-parabolic", heat_file, "--samples", "200", "--frames", str(2**20 + 1)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert str(parabolicity._MAX_SAMPLES) in captured.err
+
+
+def test_check_parabolic_refuses_covering_batch_past_the_element_bound(
+    capsys, tmp_path, monkeypatch
+):
+    # a boundary operator with all 201 monomials of order 200 needs 201 * 201
+    # * 2 elements a frame, so 831 random frames pass 2**26 and 830 do not;
+    # the batch is never evaluated
+    from hormspace import parabolicity
+
+    def never(*args, **kwargs):
+        raise AssertionError("the covering batch was evaluated before the size check")
+
+    monkeypatch.setattr(parabolicity, "_zeta_rows", never)
+    coeffs = [{"alpha": [a, 200 - a], "beta": 0, "re": 1.0} for a in range(201)]
+    path = tmp_path / "heat-order200.json"
+    path.write_text(json.dumps({**HEAT_JSON, "B": [{"m_j": 200, "coeffs": coeffs}]}))
+    code = cli.main(["check-parabolic", str(path), "--samples", "200", "--frames", "831"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert str(parabolicity._MAX_SCAN_ELEMENTS) in captured.err
+    assert 830 * 201 * 201 * 2 <= parabolicity._MAX_SCAN_ELEMENTS < 831 * 201 * 201 * 2
+
+
+@pytest.mark.parametrize(
     "value, expected_code", [(math.inf, 2), (math.nan, 2), (1e300, 0)]
 )
 def test_check_parabolic_extreme_coefficient(capsys, tmp_path, value, expected_code):
@@ -268,6 +325,7 @@ LIBRARY_ONLY = {
     "gridio.grid_to_json",
     "gridio.grid_from_json",
     "parabolicity.symbol_eval",
+    "parabolicity.zeta_polynomial",
 }
 
 LAYERS = (

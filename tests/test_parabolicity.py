@@ -347,16 +347,16 @@ def test_petrovskii_agrees_with_root_margin_oracle():
 def test_zeta_polynomial_heat_frames():
     A = heat_symbol()
     f1 = pb.BoundaryFrame(nu=[0.0, 1.0], xi_tan=[1.0, 0.0], p=0.0)
-    assert np.allclose(pb.zeta_polynomial(A, f1), [1.0, 0.0, 1.0])
+    assert np.allclose(pb.zeta_polynomial(A, [f1])[0], [1.0, 0.0, 1.0])
     f2 = pb.BoundaryFrame(nu=[0.0, 1.0], xi_tan=[0.0, 0.0], p=1.0)
-    assert np.allclose(pb.zeta_polynomial(A, f2), [1.0, 0.0, 1.0])
+    assert np.allclose(pb.zeta_polynomial(A, [f2])[0], [1.0, 0.0, 1.0])
 
 
 def test_zeta_polynomial_leading_coefficient():
     # top coefficient is the pure-normal evaluation of the spatial part
     A = squared_heat_symbol()
     frame = pb.random_frames(1, 2, seed=3)[0]
-    poly = pb.zeta_polynomial(A, frame)
+    poly = pb.zeta_polynomial(A, [frame])[0]
     nu = frame.nu
     expected = sum(
         c * np.prod(nu ** np.array(alpha))
@@ -364,6 +364,109 @@ def test_zeta_polynomial_leading_coefficient():
         if beta == 0 and sum(alpha) == 4
     )
     assert poly[-1] == pytest.approx(expected, rel=1e-12)
+
+
+def _zeta_by_terms(symbol, frame, degree):
+    """Reference: symbol(xi_tan + zeta nu, p) expanded term by term, one
+    factor (x + v zeta) at a time, as ascending zeta-coefficients."""
+    out = np.zeros(degree + 1, dtype=complex)
+    for (alpha, beta), c in symbol.coeffs.items():
+        term = np.array([complex(c)])
+        for a, x, v in zip(alpha, frame.xi_tan, frame.nu):
+            for _ in range(a):
+                term = npoly.polymul(term, np.array([x, v], dtype=complex))
+        out[: len(term)] += term * frame.p**beta
+    return out
+
+
+def _random_coeffs(n, degree, rng):
+    """Every index with |alpha| + 2 beta = degree, with a complex normal coefficient."""
+    return {
+        (alpha, (degree - sum(alpha)) // 2): complex(*rng.standard_normal(2))
+        for alpha in itertools.product(range(degree + 1), repeat=n)
+        if sum(alpha) <= degree and (degree - sum(alpha)) % 2 == 0
+    }
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("m", [1, 2])
+def test_zeta_polynomial_matches_the_term_by_term_expansion(n, m):
+    # interpolation at the roots of unity against the expansion: within
+    # 1e-14 of the largest coefficient, and the leading coefficient within
+    # 1e-12 of itself (1.3e-15 and 1.9e-14 measured over 2400 such frames)
+    rng = np.random.default_rng(100 * n + m)
+    for rep in range(2):
+        A = pb.PrincipalSymbol(n=n, b=1, m=m, coeffs=_random_coeffs(n, 2 * m, rng))
+        order = int(rng.integers(0, 2 * m + 1))
+        B = pb.BoundarySymbol(n=n, b=1, m_j=order, coeffs=_random_coeffs(n, order, rng))
+        frames = pb.random_frames(100, n, seed=10 * n + m + rep)
+        for symbol, degree in ((A, 2 * m), (B, order)):
+            got = pb.zeta_polynomial(symbol, frames)
+            assert got.shape == (len(frames), degree + 1)
+            for frame, row in zip(frames, got):
+                ref = _zeta_by_terms(symbol, frame, degree)
+                assert np.max(np.abs(row - ref)) <= 1e-14 * np.max(np.abs(ref))
+                assert abs(row[-1] - ref[-1]) <= 1e-12 * abs(ref[-1])
+
+
+@pytest.mark.parametrize("c", [1.0, 1e3, 1e6, 1e9, 1e12, 1e15, 1e100, 1e300])
+def test_covering_wide_coefficient_spread(c):
+    """c xi_1**2 + xi_2**2 + p with Dirichlet or Neumann data covers at every
+    frame up to c = 1e12.  From c = 1e15 on, the roots in zeta of most frames
+    are a real double root split by rounding, and the check refuses them with
+    DegenerateFrameError; up to 1e15 it refuses exactly the frames at which
+    root_split refuses the term-by-term expansion.  At c = 1e100 and 1e300
+    both refuse the frame list, which the expansion did too."""
+    A = pb.PrincipalSymbol(
+        n=2, b=1, m=1, coeffs={((2, 0), 0): c, ((0, 2), 0): 1.0, ((0, 0), 1): 1.0}
+    )
+    frames = pb.random_frames(50, 2, seed=4)
+    refused = []
+    for i, frame in enumerate(frames):
+        try:
+            pb.root_split(_zeta_by_terms(A, frame, 2))
+        except DegenerateFrameError:
+            refused.append(i)
+    assert bool(refused) == (c >= 1e15)
+    for B in (dirichlet_symbol(), neumann_symbol()):
+        if c >= 1e100:
+            with pytest.raises(DegenerateFrameError, match="real axis"):
+                pb.covering_check(A, [B], frames)
+            continue
+        for i, frame in enumerate(frames):
+            if i in refused:
+                with pytest.raises(DegenerateFrameError, match="real axis"):
+                    pb.covering_check(A, [B], [frame])
+            else:
+                v = pb.covering_check(A, [B], [frame])
+                assert v.passed and v.min_singular == pytest.approx(1.0, rel=1e-15)
+
+
+def test_evaluate_takes_powers_as_running_products():
+    # x**e is ((x * x) * x) ..., exactly, for every exponent up to 4, and a
+    # real point gives the same bits as the point cast to complex
+    rng = np.random.default_rng(11)
+    xi = rng.uniform(-50.0, 50.0, (4000, 2))
+    p = rng.uniform(-3.0, 3.0, 4000)
+
+    def by_products(x, e):
+        out = np.ones_like(x)
+        for _ in range(e):
+            out = out * x
+        return out
+
+    for e1, e2, beta in itertools.product(range(5), range(5), range(3)):
+        table = (np.array([[e1, e2]]), np.array([beta]), np.array([1.0 + 0j]))
+        got = pb._evaluate(table, xi, p)
+        want = by_products(p, beta) * (by_products(xi[:, 0], e1) * by_products(xi[:, 1], e2))
+        assert np.array_equal(got.real.view(np.uint64), want.view(np.uint64))
+        assert np.all(got.imag == 0.0)
+    for n, m in ((2, 2), (3, 2)):
+        table = pb._coeff_table(pb.PrincipalSymbol(n=n, b=1, m=m, coeffs=_random_coeffs(n, 2 * m, rng)))
+        pts, q = rng.uniform(-50.0, 50.0, (4000, n)), rng.uniform(-3.0, 3.0, 4000)
+        real = pb._evaluate(table, pts, q)
+        cast = pb._evaluate(table, pts.astype(complex), q.astype(complex))
+        assert np.array_equal(real.view(np.uint64), cast.view(np.uint64))
 
 
 def test_root_split_examples():
@@ -387,14 +490,14 @@ def test_root_split_errors():
 def test_root_split_batch_heat():
     A = heat_symbol()
     for frame in pb.random_frames(100, 2, seed=1):
-        plus, minus = pb.root_split(pb.zeta_polynomial(A, frame))
+        plus, minus = pb.root_split(pb.zeta_polynomial(A, [frame])[0])
         assert len(plus) == 1 and len(minus) == 1
 
 
 def test_root_split_batch_squared_heat():
     A = squared_heat_symbol()
     for frame in pb.random_frames(100, 2, seed=2):
-        plus, minus = pb.root_split(pb.zeta_polynomial(A, frame))
+        plus, minus = pb.root_split(pb.zeta_polynomial(A, [frame])[0])
         assert len(plus) == 2 and len(minus) == 2
 
 
@@ -402,7 +505,7 @@ def test_conjugate_symmetry_real_frames():
     # real coefficients, real p: roots come in conjugate pairs
     A = heat_symbol()
     frame = pb.BoundaryFrame(nu=[0.0, 1.0], xi_tan=[0.7, 0.0], p=0.3)
-    plus, minus = pb.root_split(pb.zeta_polynomial(A, frame))
+    plus, minus = pb.root_split(pb.zeta_polynomial(A, [frame])[0])
     assert plus[0] == pytest.approx(np.conj(minus[0]), rel=1e-12)
 
 
@@ -445,7 +548,7 @@ def test_covering_neumann_remainder_value():
     # remainder of zeta mod (zeta - zeta+) is zeta+ = i sqrt(p + |xi_tan|**2)
     A = heat_symbol()
     frame = pb.BoundaryFrame(nu=[0.0, 1.0], xi_tan=[0.6, 0.0], p=0.5)
-    poly = pb.zeta_polynomial(A, frame)
+    poly = pb.zeta_polynomial(A, [frame])[0]
     (zp,), _ = pb.root_split(poly)
     assert zp == pytest.approx(1j * math.sqrt(0.5 + 0.36), rel=1e-12)
 
@@ -481,6 +584,131 @@ def test_covering_argument_checks():
         pb.covering_check(A, [], [])  # wrong count
     with pytest.raises(ValueError):
         pb.covering_check(A, [dirichlet_symbol()], [])
+
+
+@pytest.mark.parametrize(
+    "nu, xi_tan", [([0.0, 1.0, 0.0], [1.0, 0.0, 0.5]), ([1.0], [0.0])], ids=["long", "short"]
+)
+def test_covering_refuses_a_frame_of_another_dimension(nu, xi_tan):
+    # zip once truncated such a frame to the operator's n and passed it
+    frames = pb.random_frames(3, 2, seed=4)
+    frames.insert(2, pb.BoundaryFrame(nu=nu, xi_tan=xi_tan, p=0.5))
+    with pytest.raises(ValueError, match=f"frame 2: nu has length {len(nu)}, not n = 2"):
+        pb.covering_check(heat_symbol(), [dirichlet_symbol()], frames)
+
+
+@pytest.mark.parametrize(
+    "B",
+    [dirichlet_symbol(3), pb.BoundarySymbol(n=2, b=2, m_j=0, coeffs={((0, 0), 0): 1.0})],
+    ids=["n", "b"],
+)
+def test_covering_refuses_a_boundary_symbol_of_another_n_or_b(B):
+    with pytest.raises(ValueError, match="boundary symbol 0: n = .*, not A's 2, 1"):
+        pb.covering_check(heat_symbol(), [B], pb.random_frames(3, 2, seed=4))
+
+
+def test_random_frames_refuses_counts_past_the_sample_bound(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("a frame was drawn before the count was refused")
+
+    monkeypatch.setattr(pb, "BoundaryFrame", never)
+    with pytest.raises(ValueError, match=str(pb._MAX_SAMPLES)):
+        pb.random_frames(pb._MAX_SAMPLES + 1, 2, seed=0)
+
+
+def _order_200_boundary_symbol():
+    """All 201 monomials of degree 200 in (xi_1, xi_2): 201 * 201 * 2 elements a frame."""
+    return pb.BoundarySymbol(
+        n=2, b=1, m_j=200, coeffs={((a, 200 - a), 0): 1.0 for a in range(201)}
+    )
+
+
+@pytest.mark.parametrize(
+    "A, B, per_frame",
+    [
+        (heat_symbol(32), dirichlet_symbol(32), 3 * 33 * 32),  # (2m + 1) * terms * n of A
+        (heat_symbol(), _order_200_boundary_symbol(), 201 * 201 * 2),  # of B
+    ],
+    ids=["interior", "boundary"],
+)
+def test_covering_refuses_batches_past_the_element_bound(monkeypatch, A, B, per_frame):
+    # the list repeats one frame, so no million frames are built; the spy
+    # stops the allowed count where the batch would be evaluated
+    class Reached(Exception):
+        pass
+
+    def spy(*args):
+        raise Reached
+
+    monkeypatch.setattr(pb, "_zeta_rows", spy)
+    nu, xi = np.eye(A.n)[-1], np.eye(A.n)[0]
+    frame = pb.BoundaryFrame(nu=nu, xi_tan=xi, p=1.0)
+    allowed = pb._MAX_SCAN_ELEMENTS // per_frame
+    with pytest.raises(ValueError, match=str(pb._MAX_SCAN_ELEMENTS)):
+        pb.covering_check(A, [B], [frame] * (allowed + 1))
+    with pytest.raises(Reached):
+        pb.covering_check(A, [B], [frame] * allowed)
+
+
+@settings(max_examples=12, deadline=None)
+@given(c=st.floats(1e-3, 1e3), seed=st.integers(0, 2**16))
+def test_covering_verdict_is_invariant_under_quasi_homogeneous_rescaling(c, seed):
+    # (xi_tan, p) -> (c xi_tan, c**(2b) p) keeps the covering condition; the
+    # axis frame, last, is where the tangential operator fails.  At m = 1
+    # every frame reads 1 to the last bit, so rounding picks the worst one
+    frames = pb.random_frames(6, 2, seed) + [
+        pb.BoundaryFrame(nu=[0.0, 1.0], xi_tan=[0.0, 0.0], p=0.7)
+    ]
+    cases = [
+        (heat_symbol(), [dirichlet_symbol()]),
+        (heat_symbol(), [neumann_symbol()]),
+        (heat_symbol(), [tangential_symbol()]),
+        (squared_heat_symbol(), [dirichlet_symbol(), neumann_symbol()]),
+    ]
+    for A, Bs in cases:
+        scaled = [
+            pb.BoundaryFrame(nu=f.nu, xi_tan=c * f.xi_tan, p=c ** (2 * A.b) * f.p)
+            for f in frames
+        ]
+        base, moved = pb.covering_check(A, Bs, frames), pb.covering_check(A, Bs, scaled)
+        assert moved.passed == base.passed
+        assert moved.passed or moved.frame_index == base.frame_index
+        assert moved.min_singular == pytest.approx(base.min_singular, rel=1e-9, abs=1e-15)
+        assert moved.frame is scaled[moved.frame_index]  # reported as given
+
+
+def _biharmonic_b2():
+    """p + |xi|**4 with b = 2, and Dirichlet and Neumann data."""
+    coeffs = {((0, 0), 1): 1.0, ((4, 0), 0): 1.0, ((0, 4), 0): 1.0, ((2, 2), 0): 2.0}
+    Bs = [
+        pb.BoundarySymbol(n=2, b=2, m_j=0, coeffs={((0, 0), 0): 1.0}),
+        pb.BoundarySymbol(n=2, b=2, m_j=1, coeffs={((0, 1), 0): 1.0}),
+    ]
+    return pb.PrincipalSymbol(n=2, b=2, m=2, coeffs=coeffs), Bs
+
+
+@pytest.mark.parametrize(
+    "A, Bs, scales",
+    [
+        (heat_symbol(), [neumann_symbol()], (1e-100, 1e100)),
+        (squared_heat_symbol(), [dirichlet_symbol(), neumann_symbol()], (1e-100, 1e100)),
+        (*_biharmonic_b2(), (1e-50, 1e50)),
+    ],
+    ids=["heat", "squared_heat", "b2"],
+)
+def test_covering_reads_frames_of_any_size_at_their_orbit_point(A, Bs, scales):
+    # given far from |xi_tan|**2 + |p|**2 = 1, a frame once had its leading
+    # zeta coefficient refused as (near) zero, or its roots as (near) real
+    frames = pb.random_frames(20, 2, seed=3)
+    base = pb.covering_check(A, Bs, frames)
+    for c in scales:
+        scaled = [
+            pb.BoundaryFrame(nu=f.nu, xi_tan=c * f.xi_tan, p=c ** (2 * A.b) * f.p)
+            for f in frames
+        ]
+        v = pb.covering_check(A, Bs, scaled)
+        assert v.passed and base.passed
+        assert v.min_singular == pytest.approx(base.min_singular, rel=1e-12)
 
 
 @pytest.mark.parametrize("tol", [-1.0, -math.inf, math.inf, math.nan])
