@@ -328,7 +328,7 @@ def _zeta_rows(symbol, frames, c: np.ndarray) -> np.ndarray:
 
 
 def zeta_polynomial(symbol, frames) -> np.ndarray:
-    """Ascending zeta-coefficients of symbol(xi_tan + zeta nu, p), (frames, 2m or m_j + 1)."""
+    """symbol(xi_tan + zeta nu, p) per frame: ascending coefficients, degree 2m or m_j in zeta."""
     return _zeta_rows(symbol, frames, np.ones(len(frames)))
 
 

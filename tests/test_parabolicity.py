@@ -185,6 +185,14 @@ def test_petrovskii_degenerate_symbol_fails_at_zero_margin():
     assert abs(v.witness_omega[1]) == 1.0
 
 
+def test_petrovskii_zero_witness_root_is_positive_zero():
+    # the degree-1 root -a0/a1 is -0.0 at a0 = 0; the report prints +0
+    A = pb.PrincipalSymbol(n=2, b=1, m=1, coeffs={((2, 0), 0): 1.0, ((0, 0), 1): 1.0})
+    v = pb.petrovskii_check(A, 500)
+    assert math.copysign(1.0, v.witness_root.real) == 1.0
+    assert math.copysign(1.0, v.root_margin) == 1.0
+
+
 @pytest.mark.parametrize("c", [1e5, 1e6, 1e9, 2e9, 1e20, 1e300])
 def test_petrovskii_wide_coefficient_spread(c):
     # c xi_1**2 + xi_2**2 + p: the root -(c omega_1**2 + omega_2**2) is
