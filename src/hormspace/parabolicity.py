@@ -9,7 +9,9 @@ margin: every root p of A(omega, .) must have Re p < 0 on the unit sphere
 at k >= 2.  The covering condition is a rank test at sampled boundary
 frames, each moved along its quasi-homogeneous orbit to |xi_tan|**2 + |p|**2
 = 1, of zeta-polynomials interpolated at roots of unity.  Both checks use
-one evaluator (powers as running products) and one companion root finder.
+one evaluator (powers as running products) and one companion root finder,
+and refuse, before evaluating, any scan or batch of frames whose power
+arrays would pass 2**26 elements; a frame of another dimension is refused.
 """
 
 from __future__ import annotations
@@ -56,7 +58,8 @@ def _norm_coeffs(coeffs, n: int, b: int, degree: int, what: str):
     out = {}
     for key, val in coeffs.items():
         alpha, beta = key
-        alpha, beta = tuple(int(a) for a in alpha), int(beta)
+        alpha = tuple(int(a) for a in alpha)
+        beta = int(beta)
         if len(alpha) != n or any(a < 0 for a in alpha) or beta < 0:
             raise StructuralSymbolError(f"{what}: bad index {key}")
         if sum(alpha) + 2 * b * beta != degree:
@@ -88,8 +91,9 @@ class PrincipalSymbol:
             raise ValueError("need m >= b >= 1")
         if self.m % self.b != 0:
             raise ValueError("m/b must be an integer")
-        coeffs = _norm_coeffs(self.coeffs, self.n, self.b, 2 * self.m, "A")
-        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(
+            self, "coeffs", _norm_coeffs(self.coeffs, self.n, self.b, 2 * self.m, "A")
+        )
 
     @property
     def kappa(self) -> int:
@@ -97,7 +101,8 @@ class PrincipalSymbol:
 
     def validate_structure(self) -> None:
         """The coefficient of p**kappa at alpha = 0 must be nonzero."""
-        if ((0,) * self.n, self.kappa) not in self.coeffs:  # zero coefficients are dropped
+        key = ((0,) * self.n, self.kappa)
+        if key not in self.coeffs or self.coeffs[key] == 0:
             raise StructuralSymbolError(
                 "coefficient of p**kappa at alpha = 0 vanishes; the symbol "
                 "cannot satisfy the parabolicity condition at xi = 0, p = 1"
@@ -116,8 +121,9 @@ class BoundarySymbol:
     def __post_init__(self):
         if self.m_j < 0:
             raise ValueError("boundary order must be >= 0")
-        coeffs = _norm_coeffs(self.coeffs, self.n, self.b, self.m_j, "B")
-        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(
+            self, "coeffs", _norm_coeffs(self.coeffs, self.n, self.b, self.m_j, "B")
+        )
 
 
 @dataclass(frozen=True)
@@ -135,7 +141,8 @@ class BoundaryFrame:
             raise ValueError("nu and xi_tan must be 1-D vectors of equal length")
         if abs(np.linalg.norm(nu) - 1.0) > 1e-9:
             raise ValueError("nu must be a unit vector")
-        if abs(float(np.dot(nu, xi))) > 1e-9 * (1.0 + float(np.linalg.norm(xi))):
+        scale = 1.0 + float(np.linalg.norm(xi))
+        if abs(float(np.dot(nu, xi))) > 1e-9 * scale:
             raise ValueError("xi_tan must be orthogonal to nu")
         if complex(self.p).real < -1e-12:
             raise ValueError("Re p must be >= 0")
@@ -155,9 +162,10 @@ def _coeff_table(symbol) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _powers(x: np.ndarray, top: int) -> np.ndarray:
     """x**0, x**1, ..., x**top along a new last axis, as running products."""
-    steps = np.repeat(x[..., None], top + 1, axis=-1)
-    steps[..., 0] = 1
-    return np.cumprod(steps, axis=-1)
+    out = np.ones(x.shape + (top + 1,), dtype=x.dtype)
+    for e in range(1, top + 1):
+        out[..., e] = out[..., e - 1] * x
+    return out
 
 
 def _evaluate(table, xi: np.ndarray, p: np.ndarray, *, grad: bool = False):
@@ -255,14 +263,17 @@ def petrovskii_check(A: PrincipalSymbol, n_samples: int) -> PetrovskiiVerdict:
     dp/domega = -dA/domega / dA/dp.  The witness's roots are clustered, so a
     multiple root reads to rounding.  Passes iff delta > 1e-9 * (largest
     |root| at the witness), which no constant factor of A changes.  More
-    than 2**20 points, or n_samples * (terms of A) * k above 2**26 elements
-    of the scan's power array, is refused before any point is built.
+    than 2**20 points, or n_samples * k * max(terms of A, 2m + 1) above 2**26
+    elements of the scan's power arrays, is refused before any point is built.
     """
     if not 1 <= n_samples <= _MAX_SAMPLES:
         raise ValueError(f"n_samples must be in [1, {_MAX_SAMPLES}], got {n_samples}")
-    elements = n_samples * len(A.coeffs) * A.n
+    # the scan gathers k * max(terms, 2m + 1) powers a point
+    elements = n_samples * A.n * max(len(A.coeffs), 2 * A.m + 1)
     if elements > _MAX_SCAN_ELEMENTS:
-        raise ValueError(f"n_samples * terms * k = {elements} exceeds {_MAX_SCAN_ELEMENTS}")
+        raise ValueError(
+            f"n_samples * k * max(terms, 2m + 1) = {elements} exceeds {_MAX_SCAN_ELEMENTS}"
+        )
     A.validate_structure()
     n = A.n
     E, beta, c = table = _coeff_table(A)
@@ -306,30 +317,36 @@ def petrovskii_check(A: PrincipalSymbol, n_samples: int) -> PetrovskiiVerdict:
     r = _cluster_roots(_roots(_time_coeffs(slices, best_pt[None]))[0])
     root = complex(r[np.argmax(r.real)])
     margin = 0.0 - root.real  # not -root.real, which reads -0.0 at a zero root
-    passed = bool(margin > _DELTA_MIN * float(np.max(np.abs(r))))
-    return PetrovskiiVerdict(passed, margin, best_pt.copy(), root, len(pts))
+    return PetrovskiiVerdict(
+        passed=bool(margin > _DELTA_MIN * float(np.max(np.abs(r)))),
+        root_margin=margin,
+        witness_omega=best_pt.copy(),
+        witness_root=root,
+        n_evaluated=len(pts),
+    )
 
 
-def _zeta_rows(symbol, frames, c: np.ndarray) -> np.ndarray:
-    """Ascending zeta-coefficients of symbol(xi_tan + zeta nu, p) at each frame
-    moved to (c xi_tan, c**(2b) p): one evaluation at the d + 1 roots of
-    unity, one DFT per row.  A frame whose nu is not of length n is refused."""
+def zeta_polynomial(symbol, frames, rho=None) -> np.ndarray:
+    """symbol(xi_tan + zeta nu, p) per frame: ascending coefficients, degree d = 2m
+    or m_j in zeta, from one evaluation at the d + 1 roots of unity and one DFT
+    per row.  With rho, each frame is first moved to (xi_tan / rho, p / rho**(2b)).
+    A frame whose nu is not of length n is refused."""
     for i, frame in enumerate(frames):
         if frame.nu.shape != (symbol.n,):
             raise ValueError(f"frame {i}: nu has length {frame.nu.size}, not n = {symbol.n}")
     d = symbol.m_j if isinstance(symbol, BoundarySymbol) else 2 * symbol.m
+    rho = np.ones(len(frames)) if rho is None else rho
     w = np.exp(2j * np.pi * np.arange(d + 1) / (d + 1))
     nu = np.array([f.nu for f in frames])[:, None]
-    xi = np.array([f.xi_tan for f in frames])[:, None] * c[:, None, None]
+    xi = np.array([f.xi_tan for f in frames])[:, None] / rho[:, None, None]
+    # p as (re, im) pairs divided by one factor rho at a time: rho**(2b) may leave
+    # the float range, and numpy's complex quotient by a subnormal rho overflows
+    p = np.array([(f.p.real, f.p.imag) for f in frames])
+    for _ in range(2 * symbol.b):
+        p = p / rho[:, None]
     pts = (xi + w[:, None] * nu).reshape(-1, symbol.n)
-    p = np.array([f.p for f in frames], dtype=complex) * c**symbol.b * c**symbol.b
-    values = _evaluate(_coeff_table(symbol), pts, np.repeat(p, d + 1))
+    values = _evaluate(_coeff_table(symbol), pts, np.repeat(p.view(complex)[:, 0], d + 1))
     return np.fft.fft(values.reshape(len(frames), d + 1), axis=1) / (d + 1)
-
-
-def zeta_polynomial(symbol, frames) -> np.ndarray:
-    """symbol(xi_tan + zeta nu, p) per frame: ascending coefficients, degree 2m or m_j in zeta."""
-    return _zeta_rows(symbol, frames, np.ones(len(frames)))
 
 
 def _cluster_roots(roots: np.ndarray) -> np.ndarray:
@@ -418,8 +435,8 @@ def covering_check(
     the check passes iff the m x m matrix of remainders has smallest singular
     value above tol times its largest entry at every frame (reported as
     given).  Refused: a negative or non-finite tol (a vacuous test), a B
-    whose n or b is not A's, a nu not of length n, and frames * (d + 1) *
-    terms * n above 2**26 elements for A or any B.
+    whose n or b is not A's, a nu not of length n, and frames * (d + 1) * n *
+    max(terms, d + 1) above 2**26 elements for A (d = 2m) or any B (d = m_j).
     """
     if not 0.0 <= tol < math.inf:
         raise ValueError(f"tol must be finite and nonnegative, got {tol}")
@@ -431,10 +448,14 @@ def covering_check(
             raise ValueError(f"boundary symbol {j}: n = {B.n}, b = {B.b}, not A's {A.n}, {A.b}")
     if not frames:
         raise ValueError("need at least one frame")
-    per_frame = max([(2 * m + 1) * len(A.coeffs)] + [(B.m_j + 1) * len(B.coeffs) for B in Bs])
+    # each of the frames * (d + 1) points gathers n * max(terms, d + 1) powers
+    degrees = [(A, 2 * m)] + [(B, B.m_j) for B in Bs]
+    per_frame = max((d + 1) * max(len(S.coeffs), d + 1) for S, d in degrees)
     if len(frames) * per_frame * A.n > _MAX_SCAN_ELEMENTS:
-        raise ValueError(f"frames * (d + 1) * terms * n exceeds {_MAX_SCAN_ELEMENTS}")
-    # c = 1 / rho for (x / rho)**2 + (y / rho)**(4b) = 1, x = |xi_tan|, y = |p|**(1/(2b));
+        raise ValueError(
+            f"frames * (d + 1) * n * max(terms, d + 1) exceeds {_MAX_SCAN_ELEMENTS}"
+        )
+    # rho for (x / rho)**2 + (y / rho)**(4b) = 1, x = |xi_tan|, y = |p|**(1/(2b));
     # with mu = max(x, y), lest anything overflow, (rho / mu)**2 is the positive root, also
     # the root of largest real part, of t**(2b) - (x / mu)**2 t**(2b - 1) - (y / mu)**(4b)
     x = np.array([math.hypot(*f.xi_tan) for f in frames])
@@ -444,21 +465,25 @@ def covering_check(
     orbit = np.zeros((len(frames), 2 * A.b + 1))
     orbit[:, 0], orbit[:, -2], orbit[:, -1] = -((y / mu) ** (4 * A.b)), -((x / mu) ** 2), 1.0
     rho = mu * np.sqrt(_roots(orbit).real.max(axis=1))
-    c = 1.0 / np.where(rho > 0.0, rho, 1.0)
-    polys, *bpolys = (_zeta_rows(S, frames, c) for S in [A, *Bs])
+    moved = np.where(rho > 0.0, rho, 1.0)
+    polys, *bpolys = (zeta_polynomial(S, frames, moved) for S in [A, *Bs])
     worst = None
     for i, (frame, poly) in enumerate(zip(frames, polys)):
         if rho[i] == 0.0:
             raise ValueError(f"frame {i}: |xi_tan| + |p| must be nonzero")
         scale = float(np.max(np.abs(poly)))
         if scale == 0.0 or abs(poly[-1]) < 1e-12 * scale:
-            raise DegenerateFrameError(f"frame {i}: leading zeta coefficient is (near) zero")
+            raise DegenerateFrameError(
+                f"frame {i}: leading zeta coefficient is (near) zero"
+            )
         # 2m roots (the leading coefficient is nonzero), split m / m or refused
-        pp = plus_polynomial(root_split(poly)[0])
+        plus, _ = root_split(poly)
+        pp = plus_polynomial(plus)
         mat = np.zeros((m, m), dtype=complex)
         for j, bpoly in enumerate(bpolys):
-            rem = np.atleast_1d(npoly.polydiv(bpoly[i], pp)[1])[:m]
-            mat[j, : rem.size] = rem
+            _, rem = npoly.polydiv(bpoly[i], pp)
+            rem = np.atleast_1d(rem)
+            mat[j, : min(m, rem.size)] = rem[:m]
         max_mag = float(np.max(np.abs(mat)))
         if max_mag == 0.0:
             return CoveringVerdict(False, 0.0, i, frame, 0.0)
@@ -468,7 +493,7 @@ def covering_check(
             return CoveringVerdict(False, normalized, i, frame, smin)
         if worst is None or normalized < worst[0]:
             worst = (normalized, i, frame, smin)
-    return CoveringVerdict(True, *worst)
+    return CoveringVerdict(True, worst[0], worst[1], worst[2], worst[3])
 
 
 def sigma0(m: int, b: int, m_orders) -> int:
@@ -501,9 +526,11 @@ def random_frames(n_frames: int, dim: int, seed: int) -> list[BoundaryFrame]:
         xi = rng.standard_normal(dim)
         xi -= np.dot(xi, nu) * nu
         p = complex(abs(rng.standard_normal()), rng.standard_normal())
-        square = float(np.dot(xi, xi)) + abs(p) ** 2
-        if square < 1e-18:
+        mag = math.hypot(float(np.linalg.norm(xi)), abs(p))
+        if mag < 1e-9:
             continue
-        scale = 1.0 / math.sqrt(square)
-        frames.append(BoundaryFrame(nu=nu, xi_tan=xi * scale, p=p * scale))
+        scale = 1.0 / math.sqrt(float(np.dot(xi, xi)) + abs(p) ** 2)
+        xi = xi * scale
+        p = p * scale
+        frames.append(BoundaryFrame(nu=nu, xi_tan=xi, p=p))
     return frames

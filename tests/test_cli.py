@@ -130,6 +130,29 @@ def test_check_parabolic_refuses_scan_past_the_element_bound(capsys, tmp_path, m
     assert str(parabolicity._MAX_SCAN_ELEMENTS) in captured.err
 
 
+def test_check_parabolic_counts_powers_in_the_scan_bound(capsys, tmp_path, monkeypatch):
+    # xi_1**200 + xi_2**200 + p (b = m = 100) has three terms, but each of
+    # 2**20 points needs powers up to 200: 2**20 * 2 * 201 elements, past
+    # 2**26, so nothing is evaluated
+    from hormspace import parabolicity
+
+    def never(*args, **kwargs):
+        raise AssertionError("powers were built before the size check")
+
+    monkeypatch.setattr(parabolicity, "_kronecker_sphere", never)
+    monkeypatch.setattr(parabolicity, "_powers", never)
+    A = [{"alpha": [200, 0], "beta": 0, "re": 1.0}, {"alpha": [0, 200], "beta": 0, "re": 1.0}]
+    A.append({"alpha": [0, 0], "beta": 1, "re": 1.0})
+    path = tmp_path / "order200.json"
+    path.write_text(json.dumps({"n": 2, "b": 100, "m": 100, "A": A}))
+    code = cli.main(["check-parabolic", str(path), "--samples", str(2**20)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert str(parabolicity._MAX_SCAN_ELEMENTS) in captured.err
+
+
 @pytest.mark.parametrize(
     "frame",
     [
@@ -164,19 +187,21 @@ def test_check_parabolic_refuses_oversized_frame_count(capsys, heat_file, monkey
     assert str(parabolicity._MAX_SAMPLES) in captured.err
 
 
+@pytest.mark.parametrize("terms", [201, 1], ids=["all-monomials", "one-monomial"])
 def test_check_parabolic_refuses_covering_batch_past_the_element_bound(
-    capsys, tmp_path, monkeypatch
+    capsys, tmp_path, monkeypatch, terms
 ):
-    # a boundary operator with all 201 monomials of order 200 needs 201 * 201
-    # * 2 elements a frame, so 831 random frames pass 2**26 and 830 do not;
-    # the batch is never evaluated
+    # a boundary operator of order 200 needs 201 points a frame, and each
+    # gathers 2 * max(terms, 201) elements: with all 201 monomials or with
+    # xi_1**200 alone, 830 random frames fit in 2**26 and 831 do not; the
+    # batch is never evaluated
     from hormspace import parabolicity
 
     def never(*args, **kwargs):
         raise AssertionError("the covering batch was evaluated before the size check")
 
-    monkeypatch.setattr(parabolicity, "_zeta_rows", never)
-    coeffs = [{"alpha": [a, 200 - a], "beta": 0, "re": 1.0} for a in range(201)]
+    monkeypatch.setattr(parabolicity, "zeta_polynomial", never)
+    coeffs = [{"alpha": [200 - a, a], "beta": 0, "re": 1.0} for a in range(terms)]
     path = tmp_path / "heat-order200.json"
     path.write_text(json.dumps({**HEAT_JSON, "B": [{"m_j": 200, "coeffs": coeffs}]}))
     code = cli.main(["check-parabolic", str(path), "--samples", "200", "--frames", "831"])
@@ -325,7 +350,6 @@ LIBRARY_ONLY = {
     "gridio.grid_to_json",
     "gridio.grid_from_json",
     "parabolicity.symbol_eval",
-    "parabolicity.zeta_polynomial",
 }
 
 LAYERS = (

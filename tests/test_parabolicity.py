@@ -113,6 +113,27 @@ def test_petrovskii_refuses_scans_past_the_element_bound(monkeypatch):
         pb.petrovskii_check(heat_symbol(32), 2**20)
 
 
+def test_petrovskii_counts_powers_in_the_element_bound(monkeypatch):
+    # xi_1**200 + xi_2**200 + p has three terms, but each point gathers
+    # powers up to 200: 2 * 201 elements, so 166937 points fit in 2**26 and
+    # 166938 do not
+    class Reached(Exception):
+        pass
+
+    def spy(n_samples, dim):
+        raise Reached
+
+    monkeypatch.setattr(pb, "_kronecker_sphere", spy)
+    coeffs = {((200, 0), 0): 1.0, ((0, 200), 0): 1.0, ((0, 0), 1): 1.0}
+    A = pb.PrincipalSymbol(n=2, b=100, m=100, coeffs=coeffs)
+    allowed = pb._MAX_SCAN_ELEMENTS // (2 * 201)
+    assert allowed == 166937
+    with pytest.raises(ValueError, match=str(pb._MAX_SCAN_ELEMENTS)):
+        pb.petrovskii_check(A, allowed + 1)
+    with pytest.raises(Reached):
+        pb.petrovskii_check(A, allowed)
+
+
 def test_petrovskii_scans_at_the_element_bound(monkeypatch):
     # 2**20 points, 4 terms and k = 16 make exactly 2**26 elements: the scan
     # is reached, and the spy stops it there
@@ -417,14 +438,19 @@ def test_zeta_polynomial_matches_the_term_by_term_expansion(n, m):
                 assert abs(row[-1] - ref[-1]) <= 1e-12 * abs(ref[-1])
 
 
-@pytest.mark.parametrize("c", [1.0, 1e3, 1e6, 1e9, 1e12, 1e15, 1e100, 1e300])
+@pytest.mark.parametrize("c", [1.0, 1e3, 1e6, 1e9, 1e12, 1e15, 1e20, 1e100, 1e300])
 def test_covering_wide_coefficient_spread(c):
     """c xi_1**2 + xi_2**2 + p with Dirichlet or Neumann data covers at every
     frame up to c = 1e12.  From c = 1e15 on, the roots in zeta of most frames
     are a real double root split by rounding, and the check refuses them with
     DegenerateFrameError; up to 1e15 it refuses exactly the frames at which
-    root_split refuses the term-by-term expansion.  At c = 1e100 and 1e300
-    both refuse the frame list, which the expansion did too."""
+    root_split refuses the term-by-term expansion.  From about c = 1e18 on the
+    expansion refuses every frame, while interpolation, which keeps each
+    coefficient only to rounding of the largest, splits one to three frames'
+    roots wider than the cluster radius and passes them when each is checked
+    alone (frames 9 and 24 at 1e20, 9 at 1e100 and 1e300 here); it refuses no
+    frame the expansion accepts.  The frame list is refused at every c >= 1e20,
+    as the expansion refused it."""
     A = pb.PrincipalSymbol(
         n=2, b=1, m=1, coeffs={((2, 0), 0): c, ((0, 2), 0): 1.0, ((0, 0), 1): 1.0}
     )
@@ -436,18 +462,21 @@ def test_covering_wide_coefficient_spread(c):
         except DegenerateFrameError:
             refused.append(i)
     assert bool(refused) == (c >= 1e15)
+    assert (len(refused) == len(frames)) == (c >= 1e20)
     for B in (dirichlet_symbol(), neumann_symbol()):
-        if c >= 1e100:
+        if c >= 1e20:
             with pytest.raises(DegenerateFrameError, match="real axis"):
                 pb.covering_check(A, [B], frames)
-            continue
+        passed_alone = []
         for i, frame in enumerate(frames):
-            if i in refused:
-                with pytest.raises(DegenerateFrameError, match="real axis"):
-                    pb.covering_check(A, [B], [frame])
-            else:
+            try:
                 v = pb.covering_check(A, [B], [frame])
-                assert v.passed and v.min_singular == pytest.approx(1.0, rel=1e-15)
+            except DegenerateFrameError as exc:
+                assert "real axis" in str(exc) and i in refused
+                continue
+            assert v.passed and v.min_singular == pytest.approx(1.0, rel=1e-15)
+            passed_alone += [i] if i in refused else []
+        assert len(passed_alone) <= (3 if c >= 1e20 else 0)
 
 
 def test_evaluate_takes_powers_as_running_products():
@@ -624,10 +653,11 @@ def test_random_frames_refuses_counts_past_the_sample_bound(monkeypatch):
         pb.random_frames(pb._MAX_SAMPLES + 1, 2, seed=0)
 
 
-def _order_200_boundary_symbol():
-    """All 201 monomials of degree 200 in (xi_1, xi_2): 201 * 201 * 2 elements a frame."""
+def _order_200_boundary_symbol(terms=201):
+    """The first `terms` monomials of degree 200 in (xi_1, xi_2): 201 points a
+    frame, each with 2 * 201 elements of powers (and of terms at 201)."""
     return pb.BoundarySymbol(
-        n=2, b=1, m_j=200, coeffs={((a, 200 - a), 0): 1.0 for a in range(201)}
+        n=2, b=1, m_j=200, coeffs={((200 - a, a), 0): 1.0 for a in range(terms)}
     )
 
 
@@ -636,8 +666,9 @@ def _order_200_boundary_symbol():
     [
         (heat_symbol(32), dirichlet_symbol(32), 3 * 33 * 32),  # (2m + 1) * terms * n of A
         (heat_symbol(), _order_200_boundary_symbol(), 201 * 201 * 2),  # of B
+        (heat_symbol(), _order_200_boundary_symbol(1), 201 * 201 * 2),  # (d + 1) * (d + 1) * n
     ],
-    ids=["interior", "boundary"],
+    ids=["interior", "boundary", "powers"],
 )
 def test_covering_refuses_batches_past_the_element_bound(monkeypatch, A, B, per_frame):
     # the list repeats one frame, so no million frames are built; the spy
@@ -648,7 +679,7 @@ def test_covering_refuses_batches_past_the_element_bound(monkeypatch, A, B, per_
     def spy(*args):
         raise Reached
 
-    monkeypatch.setattr(pb, "_zeta_rows", spy)
+    monkeypatch.setattr(pb, "zeta_polynomial", spy)
     nu, xi = np.eye(A.n)[-1], np.eye(A.n)[0]
     frame = pb.BoundaryFrame(nu=nu, xi_tan=xi, p=1.0)
     allowed = pb._MAX_SCAN_ELEMENTS // per_frame
@@ -717,6 +748,11 @@ def test_covering_reads_frames_of_any_size_at_their_orbit_point(A, Bs, scales):
         v = pb.covering_check(A, Bs, scaled)
         assert v.passed and base.passed
         assert v.min_singular == pytest.approx(base.min_singular, rel=1e-12)
+    # a subnormal frame: rho = 1e-310, whose reciprocal overflows
+    unit = pb.BoundaryFrame(nu=[0.0, 1.0], xi_tan=[1.0, 0.0], p=0.0)
+    tiny = pb.BoundaryFrame(nu=[0.0, 1.0], xi_tan=[1e-310, 0.0], p=0.0)
+    v, w = pb.covering_check(A, Bs, [tiny]), pb.covering_check(A, Bs, [unit])
+    assert v.passed and v.min_singular == pytest.approx(w.min_singular, rel=1e-12)
 
 
 @pytest.mark.parametrize("tol", [-1.0, -math.inf, math.inf, math.nan])
