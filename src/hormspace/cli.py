@@ -230,11 +230,10 @@ def _cmd_verify_lemma71(args) -> tuple[dict, int]:
         raise ValueError(f"--trials must be at least 1, got {args.trials}")
     if not 0.0 <= tol < math.inf:
         raise ValueError(f"--tol must be finite and nonnegative, got {tol}")
-    deviations = []
-    for trial in range(args.trials):
-        g = spectra.random_grid(lat, args.seed + trial)
-        ratio = interpolation.verify_lemma71(g, s0, s, s1, args.gamma, phi)
-        deviations.append(abs(ratio - 1.0))
+    # one grid at a time: each trial's grid is drawn once the last is dropped
+    grids = (spectra.random_grid(lat, args.seed + trial) for trial in range(args.trials))
+    ratios = interpolation.verify_lemma71(grids, s0, s, s1, args.gamma, phi)
+    deviations = [abs(ratio - 1.0) for ratio in ratios]
     # np.max propagates a nan deviation, where max(0.0, nan) would drop it
     worst = float(np.max(deviations, initial=0.0))
     p = interpolation.build_psi(s0, s, s1, phi)

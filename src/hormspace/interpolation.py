@@ -12,6 +12,7 @@ equivalent; `verify_lemma71` measures exactly that ratio.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +20,7 @@ import numpy as np
 from .class_m import PhiFunction, eval_phi
 from .plus_spaces import RegionMask, plus_norm
 from .spectra import AnisotropicIndex, GridFunction, Lattice, r_gamma_array
-from .spectra import _finite, _fold, _folded_r, _parseval_norm, _weight
+from .spectra import _finite, _fold, _folded_r, _parseval_norm, _unitary, _weight
 
 __all__ = [
     "DiagonalPair",
@@ -136,35 +137,56 @@ def interp_norm(g: GridFunction, pair: DiagonalPair, p: InterpParameter) -> floa
     if g.lattice != pair.lattice:
         raise ValueError("grid and pair lattices differ")
     with np.errstate(over="ignore"):
-        power = np.abs(np.fft.fftn(g.samples, norm="ortho")) ** 2
+        power = np.abs(_unitary(g.samples)) ** 2
         return _parseval_norm(g.lattice, _interp_weight(pair.mu0, pair.mu1, p) ** 2, power)
 
 
 def verify_lemma71(
-    g: GridFunction, s0: float, s: float, s1: float, gamma: float, phi: PhiFunction
-) -> float:
-    """Ratio of the interpolated norm to the direct weighted norm.
+    grids: Iterable[GridFunction], s0: float, s: float, s1: float, gamma: float, phi: PhiFunction
+) -> list[float]:
+    """Ratios of the interpolated norm to the direct weighted norm, one per
+    grid of grids, which must share one lattice.
 
     The identity psi(r**(s1-s0)) = r**(s-s0) * phi(r) makes the two norms
-    equal pointwise in frequency, so the ratio is 1 up to rounding.  A zero
-    input returns 1 by convention.  One transform of g, folded once, and one
-    r_gamma array serve both norms, taken as in hnorm on the folded
-    quadrant: the denominator is hnorm(g, idx) to the last bit and the
-    numerator is interp_norm(g, pair, p) up to rounding.
+    equal pointwise in frequency, so each ratio is 1 up to rounding.  A
+    zero grid reads 1 by convention.  The r_gamma array, the pair's
+    refusals and both squared weights are built once for all the grids; one
+    transform of each grid, folded once, serves both its norms, taken as in
+    hnorm on the folded quadrant: the denominator is hnorm(g, idx) to the
+    last bit and the numerator is interp_norm(g, pair, p) up to rounding.
+    grids is read one at a time, and each is dropped before the next is
+    drawn, so a generator keeps only one grid alive.
     """
+    grids = iter(grids)
+    g = next(grids, None)
+    if g is None:
+        return []
     lat = g.lattice
     r = _folded_r(lat, gamma)
     p = build_psi(s0, s, s1, phi)
     idx = AnisotropicIndex(s, gamma, phi)
+    ratios = []
     with np.errstate(over="ignore"):
         mu0, mu1 = r**s0, r**s1
         # the refusals of DiagonalPair(lat, mu0, mu1), over the same values
         _check_admissible(mu0, mu1)
-        power = _fold(lat, np.abs(np.fft.fftn(g.samples, norm="ortho")) ** 2)
-        denom = _parseval_norm(lat, _weight(r, idx) ** 2, power)
-        if denom == 0.0:
-            return 1.0
-        return _parseval_norm(lat, _interp_weight(mu0, mu1, p) ** 2, power) / denom
+        w2, v2 = _weight(r, idx) ** 2, None
+        while g is not None:
+            if g.lattice != lat:
+                raise ValueError("the grids lie on different lattices")
+            power = _fold(lat, np.abs(_unitary(g.samples)) ** 2)
+            del g
+            denom = _parseval_norm(lat, w2, power)
+            if denom == 0.0:
+                ratios.append(1.0)
+            else:
+                # taken at the first nonzero grid, so that a refused sum is
+                # still reported before a refused interpolated weight
+                if v2 is None:
+                    v2 = _interp_weight(mu0, mu1, p) ** 2
+                ratios.append(_parseval_norm(lat, v2, power) / denom)
+            g = next(grids, None)
+    return ratios
 
 
 def interp_subspace_norm(
@@ -212,7 +234,7 @@ def direct_sum_interp_check(
     for pair, g in zip(pairs, g_list):
         if g.lattice != pair.lattice:
             raise ValueError("grid and pair lattices differ")
-        w = weights[id(pair)] * np.abs(np.fft.fftn(g.samples, norm="ortho"))
+        w = weights[id(pair)] * np.abs(_unitary(g.samples))
         w = w * math.sqrt(pair.lattice.cell_volume)
         weighted.append(w.ravel())
         per_summand.append(float(np.sqrt(np.sum(w**2))))

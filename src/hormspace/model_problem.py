@@ -47,7 +47,7 @@ from .errors import StabilityError
 from .parabolicity import PrincipalSymbol, _evaluate, petrovskii_check
 from .plus_spaces import PlusNormSolver, time_window_region
 from .spectra import AnisotropicIndex, GridFunction, Lattice, hnorm, r_gamma_array
-from .spectra import _parseval_norm, weight_array
+from .spectra import _parseval_norm, _unitary, weight_array
 
 __all__ = [
     "PeriodicParabolicOperator",
@@ -196,7 +196,7 @@ def _checked_modes(op: PeriodicParabolicOperator, f: GridFunction | _ModalForcin
         _check_forcing(op, lat, f.modes)
         return f
     _check_forcing(op, lat, f.samples.reshape(1, -1, lat.n_t))
-    fhat = np.fft.fftn(f.samples, axes=tuple(range(lat.k)), norm="ortho")
+    fhat = _unitary(f.samples, tuple(range(lat.k)))
     return _ModalForcing(lat, slice(None), fhat.reshape(1, -1, lat.n_t))
 
 
@@ -247,7 +247,7 @@ def solve_periodic(op: PeriodicParabolicOperator, f: GridFunction) -> GridFuncti
     lat = f.lattice
     f = _checked_modes(op, f)
     u = _duhamel_modes(op, _duhamel_weights(op, lat), f.rows, f.modes, lat.n_t)
-    u = np.fft.ifftn(u.reshape(lat.shape), axes=tuple(range(lat.k)), norm="ortho")
+    u = _unitary(u.reshape(lat.shape), tuple(range(lat.k)), inverse=True, overwrite=True)
     return GridFunction(lat, u)
 
 
@@ -342,7 +342,7 @@ def two_sided_ratio(
         if f.lattice != lat:
             raise ValueError("ensemble members live on different lattices")
         f = _checked_modes(op, f)
-        coeffs = np.fft.fft(f.modes, axis=-1, norm="ortho")
+        coeffs = _unitary(f.modes, (-1,))
         fn = _parseval_norm(lat, w2_f[f.rows], np.abs(coeffs) ** 2)
         if not np.all(fn > 0.0):
             raise ValueError("ensemble contains a zero forcing; ratio undefined")
@@ -398,7 +398,7 @@ def _forcing_band(lattice: Lattice, layout: _BandLayout, seeds) -> np.ndarray:
         # (-1)**m_t aligns the index transform with the centered time
         # window; where modes alias (n < 5) the last mode in C order wins
         member[layout.where] = coeff * sign
-    return np.fft.ifft(bins, axis=-1, norm="ortho")
+    return _unitary(bins, (-1,), inverse=True, overwrite=True)
 
 
 def _scale_forcing(values: np.ndarray, lattice: Lattice, layout: _BandLayout) -> np.ndarray:
@@ -439,7 +439,7 @@ def synthesize_forcing(lattice: Lattice, tau: float, seed: int) -> GridFunction:
     layout = _band_layout(lattice, tau)
     bins = np.zeros(lattice.shape, dtype=complex)
     bins.reshape(-1, lattice.n_t)[layout.rows] = _forcing_band(lattice, layout, [seed])[0]
-    field = np.fft.ifftn(bins, axes=tuple(range(lattice.k)), norm="ortho")
+    field = _unitary(bins, tuple(range(lattice.k)), inverse=True, overwrite=True)
     return GridFunction(lattice, _scale_forcing(field, lattice, layout))
 
 
@@ -483,7 +483,7 @@ def regularity_inheritance_check(
         r = r_gamma_array(lat, idx_f.gamma)
         profile = r ** (-(idx_f.s + extra_decay)) / eval_phi(idx_f.phi, r)
         phases = _deterministic_phases(lat, seed)
-        field = np.fft.ifftn(profile * phases, norm="ortho")
+        field = _unitary(profile * phases, inverse=True, overwrite=True)
         f = GridFunction(lat, field * _time_bump(lat, op.tau))
         u = solve_periodic(op, f)
         region = time_window_region(lat, 0.0, op.tau)

@@ -139,9 +139,14 @@ class BoundaryFrame:
         xi = np.asarray(self.xi_tan, dtype=float)
         if nu.shape != xi.shape or nu.ndim != 1:
             raise ValueError("nu and xi_tan must be 1-D vectors of equal length")
-        if abs(np.linalg.norm(nu) - 1.0) > 1e-9:
+        # a nan would pass every comparison below
+        for name, value in (("nu", nu), ("xi_tan", xi), ("p", complex(self.p))):
+            if not np.all(np.isfinite(value)):
+                raise ValueError(f"frame {name} must be finite, got {value}")
+        # hypot, not a sum of squares, which overflows past a length of 1.3e154
+        if abs(math.hypot(*nu) - 1.0) > 1e-9:
             raise ValueError("nu must be a unit vector")
-        scale = 1.0 + float(np.linalg.norm(xi))
+        scale = 1.0 + math.hypot(*xi)
         if abs(float(np.dot(nu, xi))) > 1e-9 * scale:
             raise ValueError("xi_tan must be orthogonal to nu")
         if complex(self.p).real < -1e-12:

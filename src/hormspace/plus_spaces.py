@@ -28,7 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConditioningError, InfeasibleConstraintError, UnsupportedParameterError
-from .spectra import AnisotropicIndex, GridFunction, Lattice, _finite, _parseval_norm, weight_array
+from .spectra import AnisotropicIndex, GridFunction, Lattice, _finite, _parseval_norm, _unitary
+from .spectra import weight_array
 
 __all__ = [
     "RegionMask",
@@ -87,10 +88,12 @@ def _is_time_slab(mask: np.ndarray, n_t: int) -> bool:
 
 def _gram(kernel: np.ndarray, free: np.ndarray, block_shape: tuple) -> np.ndarray:
     """The normal matrices G[c, i, j] = kernel[c][(x_i - x_j) mod block_shape]
-    over the free points x_i (raveled indices into a block), in C order."""
+    over the free points x_i (raveled indices into a block), in C order.
+    Block extents are powers of two, so & (n - 1) is the reduction mod n."""
     diff = np.zeros((free.size, free.size), dtype=np.intp)
     for c, n in zip(np.unravel_index(free, block_shape), block_shape):
-        diff = diff * n + (c[:, None] - c[None, :]) % n
+        diff *= n
+        diff += np.subtract.outer(c, c) & (n - 1)
     return np.take(kernel, diff, axis=1)
 
 
@@ -196,9 +199,9 @@ class PlusNormSolver:
             )
 
     def solve(self, u_on_v) -> PlusNormResult:
-        w = np.fft.fftn(self._expand(u_on_v), axes=self.outer_axes, norm="ortho")
+        w = _unitary(self._expand(u_on_v), self.outer_axes, overwrite=True)
         norm = self._minimise(w.reshape(1, len(self.w2), -1), slice(None))
-        w = np.fft.ifftn(w, axes=self.outer_axes, norm="ortho")
+        w = _unitary(w, self.outer_axes, inverse=True, overwrite=True)
         return PlusNormResult(float(norm[0]), GridFunction(self.lattice, w))
 
     def _minimise(self, blocks: np.ndarray, rows) -> np.ndarray:
@@ -211,8 +214,8 @@ class PlusNormSolver:
         w2 = self.w2[rows]
         axes = self.block_axes
         shape = blocks.shape[:1] + w2.shape
-        coeffs = np.fft.fftn(blocks.reshape(shape), axes=axes, norm="ortho")
-        m_fix = np.fft.ifftn(w2 * coeffs, axes=axes, norm="ortho").reshape(blocks.shape)
+        coeffs = _unitary(blocks.reshape(shape), axes)
+        m_fix = _unitary(w2 * coeffs, axes, inverse=True, overwrite=True).reshape(blocks.shape)
         # real and imaginary parts as two real columns, so Q stays real
         rhs = m_fix[..., self.free]
         rhs = np.stack((rhs.real, rhs.imag), axis=-1)
@@ -222,7 +225,7 @@ class PlusNormSolver:
         q = self.Q[cls]
         x = q @ (q.transpose(0, 2, 1) @ rhs)
         blocks[..., self.free] = -(x[..., 0] + 1j * x[..., 1])
-        coeffs = np.fft.fftn(blocks.reshape(shape), axes=axes, norm="ortho")
+        coeffs = _unitary(blocks.reshape(shape), axes)
         return _parseval_norm(self.lattice, w2, np.abs(coeffs) ** 2)
 
     def _expand(self, u_on_v) -> np.ndarray:
@@ -276,13 +279,13 @@ def trace_defect(g: GridFunction, gamma: float, s: float) -> list[float]:
     if n_orders == 0:
         return []
     eta = lat.eta_axis()
-    coeffs_t = np.fft.fft(g.samples, axis=-1, norm="ortho")
+    coeffs_t = _unitary(g.samples, (-1,))
     slice_idx = lat.n_t // 2
     dx_vol = (lat.L_x / lat.n_x) ** lat.k
     out = []
     for q in range(n_orders):
         mult = (1j * eta) ** q
-        deriv = np.fft.ifft(coeffs_t * mult, axis=-1, norm="ortho")
+        deriv = _unitary(coeffs_t * mult, (-1,), inverse=True, overwrite=True)
         sl = deriv[..., slice_idx]
         out.append(float(np.sqrt(np.sum(np.abs(sl) ** 2) * dx_vol)))
     return out

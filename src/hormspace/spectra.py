@@ -11,7 +11,9 @@ Conventions used throughout the package:
 * Frequencies are xi_m = 2 pi m / L_x and eta_m = 2 pi m / L_t with
   m in {-n/2, ..., n/2 - 1}, stored in FFT order.
 * The DFT is unitary (norm="ortho"), so coefficient energy equals sample
-  energy exactly.
+  energy exactly.  Every unitary transform goes through `_unitary`, which
+  writes all its axes into one output array: a fresh one, or in place into
+  a complex temporary its caller owns; never into the caller's own array.
 * Norms carry the frequency cell volume (2 pi / L_x)**k * (2 pi / L_t) so
   that they are quadrature approximations of the corresponding integrals.
 * Weights are even in each frequency, and m and -m give bit-identical
@@ -236,14 +238,25 @@ def weight_array(lattice: Lattice, idx: AnisotropicIndex) -> np.ndarray:
     return _unfold(lattice, _weight(_folded_r(lattice, idx.gamma), idx))
 
 
+def _unitary(a: np.ndarray, axes=None, *, inverse: bool = False, overwrite: bool = False):
+    """The unitary DFT of a over axes (all by default), or its inverse.  Every
+    axis writes into one output, the same bits as np.fft.fftn or ifftn with
+    norm="ortho", which allocate one array per axis: a fresh complex array,
+    or, with overwrite, a itself, which must then be a complex128 array the
+    caller owns and no longer needs."""
+    out = a if overwrite else np.empty(a.shape, complex)
+    transform = np.fft.ifftn if inverse else np.fft.fftn
+    return transform(a, axes=axes, norm="ortho", out=out)
+
+
 def dft(g: GridFunction) -> SpectralField:
     """Unitary forward DFT over all axes."""
-    return SpectralField(g.lattice, np.fft.fftn(g.samples, norm="ortho"))
+    return SpectralField(g.lattice, _unitary(g.samples))
 
 
 def idft(field: SpectralField) -> GridFunction:
     """Unitary inverse DFT; idft(dft(g)) == g to machine precision."""
-    return GridFunction(field.lattice, np.fft.ifftn(field.coeffs, norm="ortho"))
+    return GridFunction(field.lattice, _unitary(field.coeffs, inverse=True))
 
 
 def _finite(x, what: str):
@@ -275,7 +288,7 @@ def hnorm(g: GridFunction, idx: AnisotropicIndex) -> float:
     lat = g.lattice
     w = _weight(_folded_r(lat, idx.gamma), idx)
     with np.errstate(over="ignore"):
-        power = np.abs(np.fft.fftn(g.samples, norm="ortho")) ** 2
+        power = np.abs(_unitary(g.samples)) ** 2
         return _parseval_norm(lat, w**2, _fold(lat, power))
 
 

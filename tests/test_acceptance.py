@@ -50,7 +50,7 @@ def test_criterion_1_interpolation_norm_equality():
     for g in grids:
         for s0, s, s1 in triples:
             for phi in phis:
-                ratio = ip.verify_lemma71(g, s0, s, s1, 0.5, phi)
+                ratio = ip.verify_lemma71([g], s0, s, s1, 0.5, phi)[0]
                 worst = max(worst, abs(ratio - 1.0))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-12 and elapsed < 5.0

@@ -300,7 +300,9 @@ def test_verify_lemma71_non_finite_ratio_fails(capsys, monkeypatch, bad):
     from hormspace import interpolation
 
     ratios = iter([1.0, bad, 1.0])
-    monkeypatch.setattr(interpolation, "verify_lemma71", lambda *args: next(ratios))
+    monkeypatch.setattr(
+        interpolation, "verify_lemma71", lambda grids, *args: [next(ratios) for _ in grids]
+    )
     code, out = run_cli(
         capsys,
         ["verify-lemma71", "--s0", "0", "--s", "1", "--s1", "2",
@@ -854,7 +856,7 @@ def test_norms_build_no_whole_lattice_weight(monkeypatch, capsys, grid_file):
                 monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
     g, _region = gridio.load_grid(grid_file)
     sp.hnorm(g, sp.AnisotropicIndex(1.0, 0.5))
-    interpolation.verify_lemma71(g, 0.0, 1.0, 2.0, 0.5, cm.log_power([0.7]))
+    interpolation.verify_lemma71([g], 0.0, 1.0, 2.0, 0.5, cm.log_power([0.7]))
     code, _out = run_cli(capsys, ["norm", grid_file, "--s", "1", "--gamma", "0.5"])
     assert code == 0
     assert calls == []

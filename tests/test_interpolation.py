@@ -115,21 +115,21 @@ def test_pointwise_multiplier_identity(medium_lattice):
 
 def test_verify_lemma71_zero_input(small_lattice):
     g = sp.GridFunction(small_lattice, np.zeros(small_lattice.shape))
-    assert ip.verify_lemma71(g, 0, 1, 2, 0.5, cm.constant_one()) == 1.0
+    assert ip.verify_lemma71([g], 0, 1, 2, 0.5, cm.constant_one())[0] == 1.0
 
 
 def test_verify_lemma71_single_mode(small_lattice):
     coeffs = np.zeros(small_lattice.shape, dtype=complex)
     coeffs[5, 2] = 1.0
     g = sp.idft(sp.SpectralField(small_lattice, coeffs))
-    r = ip.verify_lemma71(g, 1, 2.5, 4, 0.5, cm.log_power([1]))
+    r = ip.verify_lemma71([g], 1, 2.5, 4, 0.5, cm.log_power([1]))[0]
     assert r == pytest.approx(1.0, abs=1e-13)
 
 
 def test_verify_lemma71_random(medium_lattice):
     for seed in range(10):
         g = sp.random_grid(medium_lattice, seed)
-        r = ip.verify_lemma71(g, 0, 1, 2, 0.5, cm.log_power([2, -1]))
+        r = ip.verify_lemma71([g], 0, 1, 2, 0.5, cm.log_power([2, -1]))[0]
         assert abs(r - 1.0) <= 1e-12
 
 
@@ -145,7 +145,7 @@ def test_verify_lemma71_is_the_quotient_of_the_public_norms(k, n_x, n_t, phi, s0
     want = ip.interp_norm(g, ip.sobolev_pair(lat, s0, s1, 0.5), ip.build_psi(s0, s, s1, phi)) / (
         sp.hnorm(g, sp.AnisotropicIndex(s, 0.5, phi))
     )
-    assert ip.verify_lemma71(g, s0, s, s1, 0.5, phi) == pytest.approx(want, rel=1e-14, abs=0.0)
+    assert ip.verify_lemma71([g], s0, s, s1, 0.5, phi)[0] == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 def test_verify_lemma71_transforms_and_folds_once(monkeypatch, medium_lattice):
@@ -164,7 +164,7 @@ def test_verify_lemma71_transforms_and_folds_once(monkeypatch, medium_lattice):
     monkeypatch.setattr(ip, "_fold", fold_spy)
     g = sp.random_grid(medium_lattice, 3)
     for n in (1, 2):
-        ip.verify_lemma71(g, 0.0, 1.3, 2.0, 0.5, cm.log_power([0.7]))
+        ip.verify_lemma71([g], 0.0, 1.3, 2.0, 0.5, cm.log_power([0.7]))
         assert calls == {"fftn": n, "fold": n}
 
 
@@ -182,7 +182,7 @@ def test_verify_lemma71_denominator_is_hnorm_to_the_last_bit(monkeypatch, k, n_x
     monkeypatch.setattr(ip, "_parseval_norm", spy)
     lat = sp.Lattice(k=k, n_x=n_x, n_t=n_t, L_x=2 * math.pi, L_t=2 * math.pi)
     g = sp.random_grid(lat, 7)
-    ratio = ip.verify_lemma71(g, 0.3, 1.1, 2.7, 0.5, phi)
+    ratio = ip.verify_lemma71([g], 0.3, 1.1, 2.7, 0.5, phi)[0]
     assert len(sums) == 2
     assert sums[0] == sp.hnorm(g, sp.AnisotropicIndex(1.1, 0.5, phi))
     assert ratio == sums[1] / sums[0]
@@ -243,7 +243,7 @@ def test_overflowing_interpolated_weight_is_refused():
     lat = sp.Lattice(k=2, n_x=16, n_t=16, L_x=2 * math.pi, L_t=2 * math.pi)
     g = sp.random_grid(lat, 5)
     with pytest.raises(ValueError, match="the interpolated weight overflows double precision"):
-        ip.verify_lemma71(g, 0.0, 1.0, 400.0, 0.5, cm.constant_one())
+        ip.verify_lemma71([g], 0.0, 1.0, 400.0, 0.5, cm.constant_one())
     pair = ip.sobolev_pair(lat, 0.0, 400.0, 0.5)
     with pytest.raises(ValueError, match="the interpolated weight overflows double precision"):
         ip.interp_norm(g, pair, ip.build_psi(0, 1, 400, cm.constant_one()))
