@@ -190,14 +190,14 @@ def _cmd_norm(args) -> tuple[dict, int]:
     with np.errstate(over="ignore"):
         w2 = spectra._weight(r, idx) ** 2
         hnorm = spectra._parseval_norm(lat, w2, spectra._fold(lat, np.abs(field_.coeffs) ** 2))
-    back = spectra.idft(field_)
-    # each full-lattice array is dropped once used, so that fewer of them
-    # are alive under the round-trip difference and the embedding constants
+    # the inverse overwrites the transform and the round-trip difference
+    # overwrites the inverse, both temporaries of this command, so no other
+    # full-lattice array is made; each is dropped once used, so that fewer
+    # are alive under the embedding constants
+    back = spectra.idft(field_, overwrite=True).samples
     del field_
-    rt = float(
-        np.max(np.abs(back.samples - g.samples))
-        / max(float(np.max(np.abs(g.samples))), 1e-300)
-    )
+    back -= g.samples
+    rt = float(np.max(np.abs(back)) / max(float(np.max(np.abs(g.samples))), 1e-300))
     del back
     l2 = float(np.linalg.norm(g.samples.ravel()) * math.sqrt(lat.cell_volume))
     report = {

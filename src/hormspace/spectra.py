@@ -254,9 +254,11 @@ def dft(g: GridFunction) -> SpectralField:
     return SpectralField(g.lattice, _unitary(g.samples))
 
 
-def idft(field: SpectralField) -> GridFunction:
-    """Unitary inverse DFT; idft(dft(g)) == g to machine precision."""
-    return GridFunction(field.lattice, _unitary(field.coeffs, inverse=True))
+def idft(field: SpectralField, *, overwrite: bool = False) -> GridFunction:
+    """Unitary inverse DFT; idft(dft(g)) == g to machine precision.  With
+    overwrite, the samples are written into field.coeffs, which the caller
+    no longer needs."""
+    return GridFunction(field.lattice, _unitary(field.coeffs, inverse=True, overwrite=overwrite))
 
 
 def _finite(x, what: str):

@@ -1,7 +1,16 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+
+# Hypothesis's pytest plugin imports this module when a property fails, and
+# the import warns (DeprecationWarning, mypy_extensions.TypedDict), which the
+# "error" warning filter turns into an internal error that ends the run.
+# Imported once here, with that one category ignored, it is cached for then.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    import hypothesis.extra._patching  # noqa: F401
 
 from hormspace import parabolicity as pb
 from hormspace import plus_spaces as ps

@@ -172,6 +172,26 @@ def test_check_parabolic_refuses_a_frame_of_another_dimension(capsys, tmp_path, 
     assert captured.err.startswith(f"error: frame 0: nu has length {len(frame['nu'])}")
 
 
+@pytest.mark.parametrize(
+    "field, frame",
+    [
+        ("nu", {"nu": [0, math.nan], "xi_tan": [1, 0], "p": [0.5, 0]}),
+        ("xi_tan", {"nu": [0, 1], "xi_tan": [math.inf, 0], "p": [0.5, 0]}),
+        ("p", {"nu": [0, 1], "xi_tan": [1, 0], "p": [math.nan, 0]}),
+    ],
+)
+def test_check_parabolic_refuses_a_non_finite_frame(capsys, tmp_path, field, frame):
+    # JSON's NaN and Infinity once reached LAPACK, whose error named neither
+    path = tmp_path / "heat-frame.json"
+    path.write_text(json.dumps({**HEAT_JSON, "frames": [frame]}))
+    code = cli.main(["check-parabolic", str(path), "--samples", "200"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: frame {field} must be finite")
+    assert len(captured.err.splitlines()) == 1
+
+
 def test_check_parabolic_refuses_oversized_frame_count(capsys, heat_file, monkeypatch):
     # refused from the count alone: no frame may be drawn
     from hormspace import parabolicity
@@ -805,6 +825,34 @@ def test_embed_check_radial_in_one_and_four_dimensions(capsys, n):
     code, out = run_cli(capsys, ["embed-check", "--phi", "1", "--n", n, "--radial"])
     assert code == 1
     assert max(row["relerr"] for row in json.loads(out)["radial_reduction"]) <= 1e-3
+
+
+def test_verify_lemma71_command_holds_one_trial_grid_at_a_time(capsys, monkeypatch):
+    # one call for every trial, whose grids are drawn one at a time: when a
+    # trial's grid is made, no earlier one is alive
+    made, alive_at_draw, calls = [], [], []
+    random_grid, verify = sp.random_grid, interpolation.verify_lemma71
+
+    def tracked(lattice, seed):
+        alive_at_draw.append(sum(ref() is not None for ref in made))
+        g = random_grid(lattice, seed)
+        made.append(weakref.ref(g))
+        return g
+
+    def counted(grids, *args):
+        calls.append(args)
+        return verify(grids, *args)
+
+    monkeypatch.setattr(sp, "random_grid", tracked)
+    monkeypatch.setattr(interpolation, "verify_lemma71", counted)
+    code, out = run_cli(
+        capsys,
+        ["verify-lemma71", "--s0", "0", "--s", "1", "--s1", "2", "--lattice", "8x8x8", "--trials", "5"],
+    )
+    assert code == 0 and json.loads(out)["passed"] is True
+    assert len(calls) == 1
+    # the five trials, then the direct sum's three grids, kept together
+    assert alive_at_draw == [0, 0, 0, 0, 0, 0, 1, 2]
 
 
 def test_model_verify_holds_one_forcing_at_a_time(capsys, heat_file, monkeypatch):

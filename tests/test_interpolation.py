@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -166,6 +167,56 @@ def test_verify_lemma71_transforms_and_folds_once(monkeypatch, medium_lattice):
     for n in (1, 2):
         ip.verify_lemma71([g], 0.0, 1.3, 2.0, 0.5, cm.log_power([0.7]))
         assert calls == {"fftn": n, "fold": n}
+
+
+def test_verify_lemma71_builds_its_weights_once_and_holds_one_grid(monkeypatch, medium_lattice):
+    # r_gamma, the direct and the interpolated weight are built once for all
+    # the grids; each grid is transformed and folded once, and dropped before
+    # the next one is drawn
+    calls = {"_folded_r": 0, "_weight": 0, "_interp_weight": 0, "_fold": 0}
+    for name in calls:
+        def spy(*args, _fn=getattr(ip, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(ip, name, spy)
+    made, alive_at_draw = [], []
+
+    def grids(n):
+        for seed in range(n):
+            alive_at_draw.append(sum(ref() is not None for ref in made))
+            g = sp.random_grid(medium_lattice, seed)
+            made.append(weakref.ref(g))
+            yield g
+            del g
+
+    phi = cm.log_power([0.7])
+    ratios = ip.verify_lemma71(grids(4), 0.0, 1.3, 2.0, 0.5, phi)
+    assert calls == {"_folded_r": 1, "_weight": 1, "_interp_weight": 1, "_fold": 4}
+    assert alive_at_draw == [0, 0, 0, 0]
+    # each ratio has the bits of the grid taken alone
+    alone = [ip.verify_lemma71([sp.random_grid(medium_lattice, seed)], 0.0, 1.3, 2.0, 0.5, phi)[0]
+             for seed in range(4)]
+    assert ratios == alone
+    assert ip.verify_lemma71(iter(()), 0.0, 1.3, 2.0, 0.5, phi) == []
+
+
+def test_verify_lemma71_refuses_grids_on_mixed_lattices(medium_lattice):
+    other = sp.Lattice(k=medium_lattice.k, n_x=medium_lattice.n_x, n_t=medium_lattice.n_t,
+                       L_x=medium_lattice.L_x, L_t=2 * medium_lattice.L_t)
+    grids = [sp.random_grid(medium_lattice, 0), sp.random_grid(other, 1)]
+    with pytest.raises(ValueError, match="different lattices"):
+        ip.verify_lemma71(grids, 0.0, 1.0, 2.0, 0.5, cm.constant_one())
+
+
+def test_verify_lemma71_reports_a_refused_sum_before_a_refused_weight(small_lattice):
+    # the weights are built once, but refused in the order of a grid taken
+    # alone: a zero grid reads 1 without the interpolated weight, and a sum
+    # that overflows is named before an interpolated weight that does
+    zero = sp.GridFunction(small_lattice, np.zeros(small_lattice.shape))
+    assert ip.verify_lemma71([zero, zero], 0.0, 1.0, 400.0, 0.5, cm.constant_one()) == [1.0, 1.0]
+    g = sp.random_grid(small_lattice, 1)
+    with pytest.raises(ValueError, match="the weighted sum overflows"):
+        ip.verify_lemma71([zero, g], 0.0, 300.0, 400.0, 0.5, cm.constant_one())
 
 
 @pytest.mark.parametrize("k,n_x,n_t", [(1, 16, 32), (2, 8, 16), (3, 4, 8)])

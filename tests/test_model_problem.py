@@ -135,7 +135,12 @@ def test_solution_is_zero_until_the_forcing_starts(heat_op, n_x, n_t, seed, quie
 
 
 @settings(max_examples=25, deadline=None)
-@given(**_solve_args, a=st.complex_numbers(max_magnitude=10.0), b=st.complex_numbers(max_magnitude=10.0))
+# subnormal scalars are left out: they underflow the tolerance to 0
+@given(
+    **_solve_args,
+    a=st.complex_numbers(max_magnitude=10.0, allow_subnormal=False),
+    b=st.complex_numbers(max_magnitude=10.0, allow_subnormal=False),
+)
 def test_solution_is_linear_in_the_forcing(heat_op, n_x, n_t, seed, a, b):
     lat = _lattice(n_x, n_t)
     f, g = (_window_forcing(lat, heat_op.tau, seed + i, 0.0) for i in (0, 1))

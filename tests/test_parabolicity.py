@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -771,6 +772,33 @@ def test_frame_validation():
         pb.BoundaryFrame(nu=[0.0, 1.0], xi_tan=[1.0, 1.0], p=1.0)
     with pytest.raises(ValueError):
         pb.BoundaryFrame(nu=[0.0, 1.0], xi_tan=[1.0, 0.0], p=-1.0)
+
+
+@pytest.mark.parametrize(
+    "field, frame",
+    [
+        ("nu", dict(nu=[0.0, math.nan], xi_tan=[1.0, 0.0], p=1.0)),
+        ("xi_tan", dict(nu=[0.0, 1.0], xi_tan=[math.inf, 0.0], p=1.0)),
+        ("xi_tan", dict(nu=[0.0, 1.0], xi_tan=[math.nan, 0.0], p=1.0)),
+        ("p", dict(nu=[0.0, 1.0], xi_tan=[1.0, 0.0], p=complex(math.nan, 0.0))),
+        ("p", dict(nu=[0.0, 1.0], xi_tan=[1.0, 0.0], p=complex(1.0, math.inf))),
+    ],
+)
+def test_frame_refuses_non_finite_fields(field, frame):
+    # a nan once passed every comparison, and covering_check then failed in
+    # LAPACK with a message that named neither the frame nor the cause
+    with pytest.raises(ValueError, match=f"^frame {field} must be finite"):
+        pb.BoundaryFrame(**frame)
+
+
+def test_frame_orthogonality_scale_does_not_overflow():
+    # |xi_tan| past 1.3e154 overflows a sum of squares, not hypot
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        frame = pb.BoundaryFrame(nu=[0.0, 1.0], xi_tan=[1e200, 0.0], p=0.0)
+        with pytest.raises(ValueError, match="orthogonal"):
+            pb.BoundaryFrame(nu=[0.0, 1.0], xi_tan=[1e200, 1e192], p=0.0)
+    assert frame.xi_tan[0] == 1e200
 
 
 def test_sigma0_examples():

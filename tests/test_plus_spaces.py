@@ -599,3 +599,34 @@ def test_lemma51_parameter_validation(small_lattice):
         ps.lemma51_equivalence_ratio(g, sp.AnisotropicIndex(-1.0, 0.5), region)
     with pytest.raises(UnsupportedParameterError):
         ps.lemma51_equivalence_ratio(g, sp.AnisotropicIndex(1.0, 0.5), region)
+
+
+def _gram_by_modulo(kernel, free, block_shape):
+    """The Gram gather with the index reduced by %, kept as the reference."""
+    diff = np.zeros((free.size, free.size), dtype=np.intp)
+    for c, n in zip(np.unravel_index(free, block_shape), block_shape):
+        diff = diff * n + (c[:, None] - c[None, :]) % n
+    return np.take(kernel, diff, axis=1)
+
+
+@pytest.mark.parametrize("k, n_x, n_t", [(1, 16, 32), (2, 8, 16), (3, 4, 16)])
+@pytest.mark.parametrize("slab", [True, False], ids=["slab", "general"])
+def test_gram_index_in_place_equals_the_modulo_reference(k, n_x, n_t, slab):
+    # block extents are powers of two, so & (n - 1) is % n, negative
+    # differences included
+    lat = sp.Lattice(k=k, n_x=n_x, n_t=n_t, L_x=2 * math.pi, L_t=2 * math.pi)
+    rng = np.random.default_rng(k)
+    if slab:
+        region = ps.time_window_region(lat, 0.0, lat.L_t / 4)
+    else:
+        tn = np.broadcast_to(lat.t_axis() >= 0.0, lat.shape)
+        region = ps.RegionMask(lat, tn & (rng.random(lat.shape) < 0.3), tn)
+    solver = ps.PlusNormSolver(sp.AnisotropicIndex(1.0, 0.5), region)
+    assert solver.slab == slab
+    block_shape = lat.shape[len(solver.outer_axes):]
+    assert solver.free.size > 1
+    kernel = rng.standard_normal((3, math.prod(block_shape)))
+    got = ps._gram(kernel, solver.free, block_shape)
+    want = _gram_by_modulo(kernel, solver.free, block_shape)
+    assert got.flags.c_contiguous
+    assert np.array_equal(got, want)

@@ -401,3 +401,84 @@ def test_random_grid_keeps_the_bits_of_a_plus_i_b(shape, seed):
     got = sp.random_grid(lat, seed).samples
     assert got.dtype == want.dtype
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("shape, axes", [
+    ((8, 16), None), ((8, 16), (-1,)), ((8, 16), (0,)),
+    ((4, 4, 8), None), ((4, 4, 8), (0, 1)), ((4, 4, 8), (-1,)), ((2, 4, 4, 8), (1, 2, 3)),
+    ((4, 8), ()),
+])
+@pytest.mark.parametrize("inverse", [False, True], ids=["forward", "inverse"])
+@pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+def test_unitary_transform_has_the_bits_of_numpy(shape, axes, inverse, real):
+    # one output for every axis changes no bit of numpy's per-axis arrays,
+    # in place or not, and never writes into the caller's array
+    rng = np.random.default_rng(sum(shape))
+    a = rng.standard_normal(shape) + (0 if real else 1j * rng.standard_normal(shape))
+    kept = a.copy()
+    want = (np.fft.ifftn if inverse else np.fft.fftn)(a, axes=axes, norm="ortho")
+    got = sp._unitary(a, axes, inverse=inverse)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert np.array_equal(a.view(np.uint64), kept.view(np.uint64))
+    if axes != ():
+        assert not np.shares_memory(got, a)
+    if not real:
+        owned = a.copy()
+        got = sp._unitary(owned, axes, inverse=inverse, overwrite=True)
+        assert got is owned
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_dft_and_idft_leave_their_input_alone():
+    lat = sp.Lattice(k=2, n_x=8, n_t=16, L_x=2 * math.pi, L_t=2 * math.pi)
+    g = sp.random_grid(lat, 3)
+    kept = g.samples.copy()
+    field = sp.dft(g)
+    coeffs = field.coeffs.copy()
+    back = sp.idft(field)
+    assert np.array_equal(g.samples, kept) and np.array_equal(field.coeffs, coeffs)
+    assert not np.shares_memory(back.samples, field.coeffs)
+    # with overwrite, the same bits are written into the field's own array
+    owned = sp.idft(field, overwrite=True)
+    assert owned.samples is field.coeffs
+    assert np.array_equal(owned.samples.view(np.uint64), back.samples.view(np.uint64))
+
+
+# the np.fft transforms whose scaling is not the unitary one: the real kernel
+# of the plus-norm normal matrices and the zeta interpolation's 1/(d + 1)
+_NOT_UNITARY = {
+    ("plus_spaces.py", "__init__", "ifftn"),
+    ("parabolicity.py", "zeta_polynomial", "fft"),
+}
+
+
+def test_every_unitary_transform_goes_through_one_helper():
+    # any other np.fft transform named in the package, called or bound, would
+    # allocate one array per axis again
+    transforms = {"fft", "ifft", "fftn", "ifftn", "fft2", "ifft2", "rfft", "irfft",
+                  "rfftn", "irfftn", "rfft2", "irfft2", "hfft", "ihfft"}
+    found = set()
+
+    class Finder(ast.NodeVisitor):
+        def __init__(self, name):
+            self.where = [name, "<module>"]
+
+        def visit_FunctionDef(self, node):
+            self.where.append(node.name)
+            self.generic_visit(node)
+            self.where.pop()
+
+        def visit_Attribute(self, node):
+            if node.attr in transforms and ast.unparse(node.value) in ("np.fft", "numpy.fft"):
+                found.add((self.where[0], self.where[-1], node.attr))
+            self.generic_visit(node)
+
+        def visit_ImportFrom(self, node):
+            # nothing may import a transform under a name of its own
+            assert not (node.module or "").endswith("fft"), (self.where[0], node.module)
+
+    for path in pathlib.Path(sp.__file__).parent.glob("*.py"):
+        Finder(path.name).visit(ast.parse(path.read_text()))
+    unitary = {("spectra.py", "_unitary", "fftn"), ("spectra.py", "_unitary", "ifftn")}
+    assert found == unitary | _NOT_UNITARY
